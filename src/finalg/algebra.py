@@ -7,7 +7,6 @@ are constants with a one-entry table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iterprod
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -246,8 +245,18 @@ def term_depth(term: Term) -> int:
     return 1 + max(term_depth(t) for t in term.args)
 
 
-@lru_cache(maxsize=256)
-def _product_square_cached(algebra: FiniteAlgebra, limit: int) -> FiniteAlgebra:
+def product_square(
+    algebra: FiniteAlgebra, limit: int = DEFAULT_CARRIER_LIMIT
+) -> FiniteAlgebra:
+    """The direct square A x A with pair (a, b) encoded as a*size + b.
+
+    Built afresh on every call, with (n^2)^k entries for a k-ary op. The
+    closure engine never builds it; the term-enumeration checks close over it
+    as an independent reference."""
+    if algebra.size * algebra.size > limit:
+        raise SizeOverflow(
+            f"squared carrier {algebra.size**2} exceeds limit {limit}"
+        )
     n = algebra.size
     n2 = n * n
     tables = []
@@ -267,17 +276,6 @@ def _product_square_cached(algebra: FiniteAlgebra, limit: int) -> FiniteAlgebra:
         tables.append(tuple(out))
     top = None if algebra.top is None else algebra.top * n + algebra.top
     return FiniteAlgebra(algebra.sig, n2, tuple(tables), top)
-
-
-def product_square(
-    algebra: FiniteAlgebra, limit: int = DEFAULT_CARRIER_LIMIT
-) -> FiniteAlgebra:
-    """The direct square A x A with pair (a, b) encoded as a*size + b."""
-    if algebra.size * algebra.size > limit:
-        raise SizeOverflow(
-            f"squared carrier {algebra.size**2} exceeds limit {limit}"
-        )
-    return _product_square_cached(algebra, limit)
 
 
 def generate_subalgebra(algebra: FiniteAlgebra, seed: ElementSet) -> ElementSet:

@@ -27,7 +27,11 @@ CHAIN_PRINT_CAP = 32
 
 def _load(path: str) -> tuple[str, FiniteAlgebra]:
     with open(path, "r", encoding="utf-8") as fh:
-        parsed = parse_algebra_file(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EngineError(f"{path} is not UTF-8 text: {exc}") from None
+    parsed = parse_algebra_file(text)
     return parsed.name, parsed.algebra
 
 
@@ -106,6 +110,8 @@ def _cmd_relation(args: argparse.Namespace, congruence: bool) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     _, algebra = _load(args.file)
     top = _resolve_top(algebra, args.top)
+    if args.max_n is not None and args.max_n < 0:
+        raise EngineError("--max-n must be non-negative")
     mode = "induction" if args.mode == "ind" else "deduction"
     result = algebra_rank(algebra, top, mode, max_n=args.max_n)
     if result.rank is None:
@@ -220,3 +226,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

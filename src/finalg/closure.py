@@ -9,31 +9,142 @@ normality compares I against the congruence class of top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Literal, NamedTuple
 
-from .algebra import ElementSet, FiniteAlgebra, generate_subalgebra, product_square
-from .errors import ValueOutOfRange
-from .relations import BinRel, compose, left_image, opposite, right_image
+from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra
+from .errors import SizeOverflow, ValueOutOfRange
+from .relations import BinRel, _bits, compose, left_image, opposite, right_image
 
 Mode = Literal["induction", "deduction"]
+
+
+# Translation tables cover masks in chunks of this many bits.
+_CHUNK_BITS = 8
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+
+@lru_cache(maxsize=8)
+def _translation_tables(algebra: FiniteAlgebra) -> tuple[tuple, tuple]:
+    """The kernel's lookup tables of an algebra: (unary, wider).
+
+    A unary op f gives (table, bits) with bits[x] = 1 << f(x). An op f of
+    arity k >= 2 gives (k, table, tables): tables[p] belongs to the prefix
+    p = (b1..b_{k-1}), coded like a table index, and maps a mask m of last
+    arguments to the mask of the f(b1..b_{k-1}, x) with x in m, one chunk at a
+    time: chunk j of m sits at index (j << _CHUNK_BITS) | (m >> j * _CHUNK_BITS
+    & _CHUNK_MASK). A chunk of width w takes 2^w entries, n^(k-1) * sum(2^w)
+    in all. For n >= 2 no op's tables are larger than its square: n for n^2
+    entries when unary, fewer than (n^2)^k when k >= 2."""
+    n = algebra.size
+    unary, wider = [], []
+    for _, arity, table in algebra.ops():
+        if arity == 1:
+            unary.append((table, [1 << x for x in table]))
+        elif arity >= 2:
+            tables = []
+            for start in range(0, len(table), n):
+                flat: list[int] = []
+                for lo in range(start, start + n, _CHUNK_BITS):
+                    chunk = [0]
+                    for x in table[lo:min(lo + _CHUNK_BITS, start + n)]:
+                        bit = 1 << x
+                        chunk += [m | bit for m in chunk]
+                    flat += chunk
+                tables.append(flat)
+            wider.append((arity, table, tables))
+    return tuple(unary), tuple(wider)
+
+
+def _chunk_keys(masks: list[int], n: int) -> list[list[int]]:
+    """Per chunk, the lookup index of every mask into a translation table."""
+    return [[(j << _CHUNK_BITS) | (m >> shift & _CHUNK_MASK) for m in masks]
+            for j, shift in enumerate(range(0, n, _CHUNK_BITS))]
+
+
+def _images(table: list[int], keys: list[list[int]]) -> list[int]:
+    """Image under one translation of every mask whose chunk keys are given."""
+    get = table.__getitem__
+    out = list(map(get, keys[0]))
+    for chunk in keys[1:]:
+        out = list(map(or_, out, map(get, chunk)))
+    return out
 
 
 def semicongruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
     """Smallest reflexive compatible relation containing the given pairs:
-    the subalgebra of A x A generated by the pairs and the diagonal."""
+    the subalgebra of A x A generated by the pairs and the diagonal.
+
+    Closed on rows, semi-naively: rows[a] is the mask of the b with a R b, and
+    delta[a] the bits it gained in the last round. For an op f of arity k, a
+    round adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)] only for the product
+    tuples not seen before, those in R x..x R x delta x old x..x old with the
+    delta at some position i (old = R without delta). The image of a row over
+    the last coordinate comes from the translation tables; within a round it
+    is computed once per prefix and reused by every argument tuple."""
     n = algebra.size
-    square = product_square(algebra)
-    mask = 0
-    for a in range(n):
-        mask |= 1 << (a * n + a)
+    if n * n > DEFAULT_CARRIER_LIMIT:
+        raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
+    rows = [1 << a for a in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
-        mask |= 1 << (a * n + b)
-    closed = generate_subalgebra(square, ElementSet(n * n, mask))
-    return BinRel.from_support(closed, n)
+        rows[a] |= 1 << b
+    if n == 1:
+        return BinRel(n, tuple(rows))
+    unary, wider = _translation_tables(algebra)
+    everything = range(n)
+    delta = list(rows)
+    # old (R without delta) is the R of the round before
+    row_bits: list[list[int]] = [[] for _ in everything]
+    while True:
+        dirty = [a for a in everything if delta[a]]
+        aged = [a for a in everything if rows[a] != delta[a]]
+        delta_bits = {a: list(_bits(delta[a])) for a in dirty}
+        old_bits, row_bits = row_bits, list(row_bits)
+        for a in dirty:
+            row_bits[a] = list(_bits(rows[a]))
+        lasts = (
+            (aged, _chunk_keys([rows[a] ^ delta[a] for a in aged], n)),
+            (dirty, _chunk_keys([delta[a] for a in dirty], n)),
+        )
+        gained = [0] * n
+        for table, bits in unary:
+            for a in dirty:
+                gained[table[a]] |= reduce(or_, map(bits.__getitem__, delta_bits[a]))
+        for arity, table, tables in wider:
+            cached: tuple[dict[int, list[int]], ...] = ({}, {})
+            for pos in range(arity):
+                # prefix positions before pos range over R, pos over delta,
+                # later ones over old; the last coordinate is delta or old
+                last_is_delta = pos == arity - 1
+                last, keys = lasts[last_is_delta]
+                if not last:
+                    continue
+                images_of = cached[last_is_delta]
+                pools = [(everything, row_bits)] * pos + [(dirty, delta_bits)]
+                pools += [(aged, old_bits)] * (arity - 1 - pos)
+                prefixes = [(0, [0])]
+                for pool, bits in pools[:arity - 1]:
+                    prefixes = [(index * n + a, [c * n + b for c in codes for b in bits[a]])
+                                for index, codes in prefixes for a in pool]
+                for index, codes in prefixes:
+                    acc = None
+                    for p in codes:
+                        images = images_of.get(p)
+                        if images is None:
+                            images = images_of[p] = _images(tables[p], keys)
+                        acc = images if acc is None else list(map(or_, acc, images))
+                    base = index * n
+                    for a, image in zip(last, acc):
+                        gained[table[base + a]] |= image
+        delta = [g & ~r for g, r in zip(gained, rows)]
+        if not any(delta):
+            return BinRel(n, tuple(rows))
+        rows = [r | d for r, d in zip(rows, delta)]
 
 
 def congruence_generated(

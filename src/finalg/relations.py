@@ -1,8 +1,9 @@
 """Binary relations on a finite carrier as bit-packed boolean matrices.
 
-Row a of `rows` holds the successors of a: bit b is set iff a R b. With
-carriers capped at 4096 after squaring, base carriers stay <= 64, so a row
-is a single machine word.
+Row a of `rows` holds the successors of a: bit b is set iff a R b. The
+relation closures refuse carriers whose square exceeds DEFAULT_CARRIER_LIMIT
+(4096 pairs), so a generated relation lives on at most 64 elements and each row
+fits in one machine word.
 """
 from __future__ import annotations
 

@@ -1,8 +1,14 @@
 """Command-line surface: golden outputs and exit codes, in-process."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import finalg
 from finalg import build_catalog, render_algebra
 from finalg.cli import main
 
@@ -128,6 +134,12 @@ class TestRank:
         assert code == 0
         assert out.splitlines()[0] == "rank exceeded 0"
 
+    def test_negative_budget_rejected(self, files, capsys):
+        code, out, err = run(capsys, "rank", files["z4-group"], "--mode", "ind", "--max-n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-n must be non-negative\n"
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):
@@ -208,3 +220,30 @@ class TestInputErrors:
         code, _, err = run(capsys, "ind", files["broken"], "--set", "1")
         assert code == 2
         assert "4:3" in err
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.ua"
+        path.write_bytes(b"algebra \xff\xfe\nsize 2\nop f 1\n1 0\ntop 0\nend\n")
+        code, out, err = run(capsys, "ind", str(path), "--set", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+
+class TestModuleEntry:
+    """`python -m finalg` and `python -m finalg.cli` run the same main()."""
+
+    @pytest.mark.parametrize("module", ["finalg", "finalg.cli"])
+    def test_failing_suite_exits_one(self, module):
+        src = str(Path(finalg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--suite", "theorem-b"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[0] == "FAIL theorem-b 209 67"
+        assert proc.stderr == ""

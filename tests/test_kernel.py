@@ -1,0 +1,168 @@
+"""The row-wise semicongruence kernel against closures on the materialised
+square A x A: term enumeration on random small algebras, the worklist
+closure on fixed algebras whose carriers span several 8-bit chunks."""
+from __future__ import annotations
+
+import random
+from itertools import product as iterprod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finalg import (
+    BinRel,
+    ElementSet,
+    generate_subalgebra,
+    is_compatible,
+    make_algebra,
+    product_square,
+    semicongruence_generated,
+    stabilized_term_images,
+)
+from finalg.catalog import cyclic_ring
+from finalg.closure import _chunk_keys, _images, _translation_tables
+from finalg.errors import SizeOverflow
+
+
+def _square_support(n: int, pairs) -> ElementSet:
+    mask = 0
+    for a in range(n):
+        mask |= 1 << (a * n + a)
+    for a, b in pairs:
+        mask |= 1 << (a * n + b)
+    return ElementSet(n * n, mask)
+
+
+@st.composite
+def algebras_with_pairs(draw):
+    n = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = {
+        f"f{i}": draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+        for i, k in enumerate(arities)
+    }
+    alg = make_algebra([(f"f{i}", k) for i, k in enumerate(arities)], n, tables)
+    element = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=3))
+    return alg, pairs
+
+
+def _assert_tables_below_square(alg):
+    n = alg.size
+    unary, wider = _translation_tables(alg)
+    for _, bits in unary:
+        assert len(bits) == n < n * n
+    for arity, _, tables in wider:
+        assert len(tables) == n ** (arity - 1)
+        assert sum(map(len, tables)) < (n * n) ** arity
+
+
+@settings(max_examples=300)
+@given(algebras_with_pairs())
+def test_equals_term_enumeration_on_the_square(case):
+    alg, pairs = case
+    n = alg.size
+    rel = semicongruence_generated(alg, pairs)
+    enum = stabilized_term_images(product_square(alg), _square_support(n, pairs))
+    assert rel == BinRel.from_support(enum, n)
+    assert rel.is_reflexive()
+    assert is_compatible(alg, rel)
+    assert all(pair in rel for pair in pairs)
+    if n > 1:  # one element: the kernel returns the diagonal without tables
+        _assert_tables_below_square(alg)
+
+
+def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
+    """Random tables; sparse ones send three entries in four to 0, so that few
+    pairs are derivable and each from few argument tuples."""
+    rng = random.Random(f"kernel/{n}/{seed}")
+
+    def entry() -> int:
+        return 0 if sparse and rng.random() < 0.75 else rng.randrange(n)
+
+    sig = [(f"f{i}", k) for i, k in enumerate(arities)]
+    tables = {f"f{i}": [entry() for _ in range(n**k)] for i, k in enumerate(arities)}
+    return make_algebra(sig, n, tables)
+
+
+def _relabelled(n: int, ops, seed: int):
+    """The algebra on {0..n-1} with the given (name, arity, fn) ops, its
+    elements renamed by a seeded permutation so that the bits of one class
+    spread over every chunk."""
+    perm = list(range(n))
+    random.Random(f"relabel/{n}/{seed}").shuffle(perm)
+    inv = [0] * n
+    for x, y in enumerate(perm):
+        inv[y] = x
+    tables = {name: [perm[fn(*(inv[a] for a in args))] for args in iterprod(range(n), repeat=k)]
+              for name, k, fn in ops}
+    return make_algebra([(name, k) for name, k, _ in ops], n, tables)
+
+
+def _fixed_cases():
+    # binary and unary ops up to 17 elements (three chunks), ternary ones up
+    # to 9 (two chunks), where the square's ternary table stays affordable.
+    # Random tables mostly generate the full relation; the sparse and the
+    # structured algebras carry proper semicongruences.
+    for n in (7, 8, 9, 16, 17):
+        yield f"n{n}-random-unary-binary", _random_algebra(n, (1, 2, 0), n)
+        yield f"n{n}-random-unary", _random_algebra(n, (1, 1), n)
+        yield f"n{n}-sparse-binary", _random_algebra(n, (2,), n, sparse=True)
+        yield f"z{n}-monoid-double", _relabelled(
+            n, [("add", 2, lambda a, b: (a + b) % n), ("dbl", 1, lambda a: 2 * a % n)], n)
+        yield f"sat{n - 1}-max", _relabelled(
+            n, [("add", 2, lambda a, b: min(a + b, n - 1)), ("max", 2, max)], n)
+        # each pair has one derivation: a lost image bit loses a pair
+        yield f"z{n}-right-successor", _relabelled(
+            n, [("succ", 2, lambda a, b: (b + 1) % n)], n)
+    for n in (7, 8, 9):
+        yield f"n{n}-random-unary-ternary", _random_algebra(n, (1, 3), n)
+        yield f"n{n}-sparse-ternary", _random_algebra(n, (3,), n, sparse=True)
+        if n < 9:  # z9-ring below carries the same op
+            yield f"z{n}-maltsev", _relabelled(
+                n, [("mal", 3, lambda a, b, c: (a - b + c) % n), ("neg", 1, lambda a: -a % n)], n)
+        yield f"z{n}-last-successor", _relabelled(
+            n, [("succ", 3, lambda a, b, c: (c + 1) % n)], n)
+    yield "z9-ring", cyclic_ring(9).algebra
+
+
+FIXED = list(_fixed_cases())
+fixed_algebras = pytest.mark.parametrize(
+    "alg", [alg for _, alg in FIXED], ids=[name for name, _ in FIXED]
+)
+
+
+@fixed_algebras
+def test_equals_worklist_closure_on_the_square(alg):
+    n = alg.size
+    square = product_square(alg)
+    for pairs in ([], [(n - 1, 0)], [(1, 0), (3, n - 2)], [(2, 5), (n - 1, 6), (0, 8 % n)]):
+        expected = generate_subalgebra(square, _square_support(n, pairs))
+        assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
+
+
+@fixed_algebras
+def test_translation_tables_never_exceed_the_square(alg):
+    _assert_tables_below_square(alg)
+
+
+@fixed_algebras
+def test_translation_tables_give_exact_images(alg):
+    n = alg.size
+    rng = random.Random(f"images/{n}")
+    masks = [0, (1 << n) - 1] + [1 << x for x in range(n)]
+    masks += [rng.getrandbits(n) for _ in range(20)]
+    keys = _chunk_keys(masks, n)
+    for table, bits in _translation_tables(alg)[0]:
+        assert bits == [1 << table[x] for x in range(n)]
+    for _, table, tables in _translation_tables(alg)[1]:
+        for p, prefix_table in enumerate(tables):
+            want = [sum({1 << table[p * n + x] for x in range(n) if m >> x & 1}) for m in masks]
+            assert _images(prefix_table, keys) == want, p
+
+
+def test_oversized_carrier_still_overflows():
+    alg = make_algebra([("f", 1)], 65, {"f": list(range(65))})
+    with pytest.raises(SizeOverflow, match=r"^squared carrier 4225 exceeds limit 4096$"):
+        semicongruence_generated(alg, [(70, 0)])
