@@ -4,18 +4,29 @@ distinguished element.
 Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
-normality compares I against the congruence class of top.
+normality compares I against the congruence class of top. `Closures` keeps
+these relations for one algebra and top, keyed by the set, so that iteration
+and the rank grow each from a kept one instead of from the diagonal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra
-from .errors import SizeOverflow, ValueOutOfRange
-from .relations import BinRel, _bits, compose, left_image, opposite, right_image
+from .errors import SizeMismatch, SizeOverflow, ValueOutOfRange
+from .relations import (
+    BinRel,
+    _bits,
+    _left_mask,
+    _right_mask,
+    compose,
+    left_image,
+    opposite,
+    right_image,
+)
 
 Mode = Literal["induction", "deduction"]
 
@@ -72,34 +83,50 @@ def _images(table: list[int], keys: list[list[int]]) -> list[int]:
     return out
 
 
+def _check_square(algebra: FiniteAlgebra) -> None:
+    n = algebra.size
+    if n * n > DEFAULT_CARRIER_LIMIT:
+        raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
+
+
 def semicongruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
     """Smallest reflexive compatible relation containing the given pairs:
-    the subalgebra of A x A generated by the pairs and the diagonal.
-
-    Closed on rows, semi-naively: rows[a] is the mask of the b with a R b, and
-    delta[a] the bits it gained in the last round. For an op f of arity k, a
-    round adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)] only for the product
-    tuples not seen before, those in R x..x R x delta x old x..x old with the
-    delta at some position i (old = R without delta). The image of a row over
-    the last coordinate comes from the translation tables; within a round it
-    is computed once per prefix and reused by every argument tuple."""
+    the subalgebra of A x A generated by the pairs and the diagonal."""
+    _check_square(algebra)
     n = algebra.size
-    if n * n > DEFAULT_CARRIER_LIMIT:
-        raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
-    rows = [1 << a for a in range(n)]
+    diagonal = [1 << a for a in range(n)]
+    rows = list(diagonal)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
         rows[a] |= 1 << b
-    if n == 1:
-        return BinRel(n, tuple(rows))
+    return BinRel(n, _close(algebra, rows, diagonal))
+
+
+def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
+    """Close `rows` (rows[a] is the mask of the b with a R b) under the ops,
+    given that `base`, row by row inside `rows`, is already reflexive and
+    compatible: the diagonal, or an R_J grown on.
+
+    Semi-naive: delta[a] is the bits row a gained in the last round, and the
+    first delta is rows minus base. For an op f of arity k, a round adds
+    f(R[a1] x ... x R[ak]) to rows[f(a1..ak)] only for the product tuples not
+    seen before, those in R x..x R x delta x old x..x old with the delta at
+    some position i (old = R without delta). The image of a row over the last
+    coordinate comes from the translation tables; within a round it is
+    computed once per prefix and reused by every argument tuple."""
+    n = algebra.size
+    delta = [r & ~b for r, b in zip(rows, base)]
+    if n == 1 or not any(delta):
+        return tuple(rows)
     unary, wider = _translation_tables(algebra)
+    if not unary and not wider:  # constants only: the diagonal holds them
+        return tuple(rows)
     everything = range(n)
-    delta = list(rows)
     # old (R without delta) is the R of the round before
-    row_bits: list[list[int]] = [[] for _ in everything]
+    row_bits = [list(_bits(b)) for b in base]
     while True:
         dirty = [a for a in everything if delta[a]]
         aged = [a for a in everything if rows[a] != delta[a]]
@@ -138,12 +165,12 @@ def semicongruence_generated(
                         if images is None:
                             images = images_of[p] = _images(tables[p], keys)
                         acc = images if acc is None else list(map(or_, acc, images))
-                    base = index * n
+                    offset = index * n
                     for a, image in zip(last, acc):
-                        gained[table[base + a]] |= image
+                        gained[table[offset + a]] |= image
         delta = [g & ~r for g, r in zip(gained, rows)]
         if not any(delta):
-            return BinRel(n, tuple(rows))
+            return tuple(rows)
         rows = [r | d for r, d in zip(rows, delta)]
 
 
@@ -215,11 +242,94 @@ class ClosureReport:
         return self.chain[-1]
 
     def stage(self, n: int) -> ElementSet:
+        if n < 0:
+            raise ValueOutOfRange(f"stage {n} is negative")
         if n < len(self.chain):
             return self.chain[n]
         if self.steps_to_fixpoint is None:
             raise ValueOutOfRange(f"stage {n} not computed and no fixpoint reached")
         return self.chain[-1]
+
+
+class Closures:
+    """The relations R_I of one algebra and top, kept by the mask of I for
+    the life of the object, and the induction and deduction step of every
+    set asked for.
+
+    R_I is monotone in I, so a missing R_T is grown from a kept R_J with
+    J inside T: the kernel starts from R_J plus T x {top} and only the pairs
+    new to R_J form its first delta. J is the base given, else T without its
+    highest element; with neither kept, R_T is closed from the diagonal."""
+
+    def __init__(self, algebra: FiniteAlgebra, top: int) -> None:
+        _check_top(algebra, top)
+        _check_square(algebra)
+        self.algebra = algebra
+        self.top = top
+        self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(algebra.size))}
+        # one mask -> mask map per mode: (deduction, induction)
+        self._steps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+
+    def _rows_of(self, mask: int, base: int | None = None) -> tuple[int, ...]:
+        got = self._rows.get(mask)
+        if got is not None:
+            return got
+        if mask < 0 or mask >> self.algebra.size:
+            raise ValueOutOfRange("bitmask exceeds carrier size")
+        start = self._rows.get(base) if base is not None and base & ~mask == 0 else None
+        if start is None:
+            start = self._rows.get(mask ^ 1 << (mask.bit_length() - 1), self._rows[0])
+        rows = list(start)
+        bit = 1 << self.top
+        for x in _bits(mask):
+            rows[x] |= bit
+        got = self._rows[mask] = _close(self.algebra, rows, start)
+        return got
+
+    def relation(self, mask: int) -> BinRel:
+        """R_I for the set I with this mask."""
+        return BinRel(self.algebra.size, self._rows_of(mask))
+
+    def step(self, mode: Mode, mask: int, base: int | None = None) -> int:
+        """Mask of one induction or deduction step from the set with this
+        mask: the left or right image of I under R_I, with R_I grown from
+        R_base if that is kept."""
+        memo = self._steps[mode == "induction"]
+        got = memo.get(mask)
+        if got is None:
+            rows = self._rows_of(mask, base)
+            image = _left_mask if mode == "induction" else _right_mask
+            got = memo[mask] = image(rows, mask)
+        return got
+
+    def iterate(
+        self, subset: ElementSet, mode: Mode, max_steps: int | None = None
+    ) -> ClosureReport:
+        """Step from `subset` until a fixpoint or max_steps (default n + 1);
+        each stage's relation grows from the one before, as both steps are
+        increasing."""
+        n = self.algebra.size
+        if max_steps is None:
+            max_steps = n + 1
+        mask = subset.mask
+        if mask >> n:  # refused as the kernel refuses its pairs
+            x = next(x for x in subset if x >= n)
+            raise ValueOutOfRange(f"pair ({x},{self.top}) outside carrier of size {n}")
+        if max_steps > 0 and subset.size != n:
+            side = "target" if mode == "induction" else "source"
+            raise SizeMismatch(f"{side} set over a different carrier")
+        relation0 = self.relation(mask)
+        chain = [subset]
+        steps: int | None = None
+        base = None
+        for _ in range(max_steps):
+            nxt = self.step(mode, mask, base)
+            chain.append(ElementSet(n, nxt))
+            if nxt == mask:
+                steps = len(chain) - 2
+                break
+            base, mask = mask, nxt
+        return ClosureReport(mode, tuple(chain), steps, relation0)
 
 
 def iterate(
@@ -229,25 +339,9 @@ def iterate(
     mode: Mode,
     max_steps: int | None = None,
 ) -> ClosureReport:
-    """Apply induction or deduction repeatedly, regenerating the relation from
+    """Apply induction or deduction repeatedly, generating the relation of
     the current set at every step, until a fixpoint or max_steps."""
-    _check_top(algebra, top)
-    if max_steps is None:
-        max_steps = algebra.size + 1
-    image = left_image if mode == "induction" else right_image
-    relation0 = _relation_for(algebra, top, subset)
-    rel = relation0
-    chain = [subset]
-    steps: int | None = None
-    for _ in range(max_steps):
-        cur = chain[-1]
-        nxt = image(rel, cur)
-        chain.append(nxt)
-        if nxt == cur:
-            steps = len(chain) - 2
-            break
-        rel = _relation_for(algebra, top, nxt)
-    return ClosureReport(mode, tuple(chain), steps, relation0)
+    return Closures(algebra, top).iterate(subset, mode, max_steps)
 
 
 class NormalityResult(NamedTuple):
@@ -299,11 +393,11 @@ def check_sandwich(
     for deduction, and that the fixpoints equal the unions of all images."""
     if n < 0:
         raise ValueOutOfRange("n must be non-negative")
-    _check_top(algebra, top)
-    rel = _relation_for(algebra, top, subset)
+    closures = Closures(algebra, top)
     hi = max(1, 2**n - 1)
     for mode, side in (("induction", "left"), ("deduction", "right")):
-        report = iterate(algebra, top, subset, mode)  # type: ignore[arg-type]
+        report = closures.iterate(subset, mode)  # type: ignore[arg-type]
+        rel = report.relation_used
         powers = relation_power_images(rel, subset, hi, side)  # type: ignore[arg-type]
         stage = report.stage(n)
         if not powers[n].issubset(stage):

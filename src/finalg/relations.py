@@ -130,21 +130,31 @@ def left_image(rel: BinRel, targets: ElementSet) -> ElementSet:
     """{x | x R y for some y in targets}."""
     if targets.size != rel.size:
         raise SizeMismatch("target set over a different carrier")
-    mask = 0
-    for a, row in enumerate(rel.rows):
-        if row & targets.mask:
-            mask |= 1 << a
-    return ElementSet(rel.size, mask)
+    return ElementSet(rel.size, _left_mask(rel.rows, targets.mask))
 
 
 def right_image(rel: BinRel, sources: ElementSet) -> ElementSet:
     """{x | y R x for some y in sources}."""
     if sources.size != rel.size:
         raise SizeMismatch("source set over a different carrier")
+    return ElementSet(rel.size, _right_mask(rel.rows, sources.mask))
+
+
+def _left_mask(rows: tuple[int, ...], targets: int) -> int:
+    """Mask of the a whose row meets the mask `targets`."""
     mask = 0
-    for y in sources:
-        mask |= rel.rows[y]
-    return ElementSet(rel.size, mask)
+    for a, row in enumerate(rows):
+        if row & targets:
+            mask |= 1 << a
+    return mask
+
+
+def _right_mask(rows: tuple[int, ...], sources: int) -> int:
+    """Union of the rows of the elements in the mask `sources`."""
+    mask = 0
+    for y in _bits(sources):
+        mask |= rows[y]
+    return mask
 
 
 def is_compatible(algebra: FiniteAlgebra, rel: BinRel) -> bool:

@@ -14,10 +14,10 @@ from itertools import combinations
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
 from .closure import (
+    Closures,
     clot_closure,
     congruence_generated,
     is_top_normal,
-    iterate,
     relation_power_images,
     semicongruence_generated,
     top_deduction,
@@ -93,18 +93,13 @@ class _Collector:
         self.check(expected == actual, algebra, subset, check, expected, actual)
 
 
-def _induced_rel(entry: CatalogEntry, subset: ElementSet) -> BinRel:
-    top = entry.algebra.top
-    assert top is not None
-    return semicongruence_generated(entry.algebra, ((x, top) for x in subset))
-
-
 def _suite_theorem_a(col: _Collector, limit: int) -> None:
     # nonempty set normal iff one induction step and one deduction step fix it
     for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size):
-            rel = _induced_rel(entry, subset)
+            rel = closures.relation(subset.mask)
             fixed = left_image(rel, subset) == subset and right_image(rel, subset) == subset
             normal = is_top_normal(alg, top, subset).is_normal
             col.equal(entry.name, str(subset), "normal-iff-inductive-and-deductive", fixed, normal)
@@ -137,10 +132,11 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
     hi = 2**max_n - 1
     for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size):
-            rel = _induced_rel(entry, subset)
+            rel = closures.relation(subset.mask)
             for mode, side in (("induction", "left"), ("deduction", "right")):
-                report = iterate(alg, top, subset, mode)
+                report = closures.iterate(subset, mode)
                 powers = relation_power_images(rel, subset, hi, side)
                 for n in range(max_n + 1):
                     stage = report.stage(n)
@@ -175,6 +171,7 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
         diagonal = 0
         for a in range(n):
             diagonal |= 1 << (a * n + a)
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
             mask = diagonal
             for x in subset:
@@ -182,7 +179,7 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
             enum = BinRel.from_support(
                 stabilized_term_images(square, ElementSet(n * n, mask)), n
             )
-            rel = _induced_rel(entry, subset)
+            rel = closures.relation(subset.mask)
             col.equal(entry.name, str(subset), "semicongruence-equals-term-enumeration",
                       sorted(enum.pairs()), sorted(rel.pairs()))
             col.equal(entry.name, str(subset), "induction-equals-term-description",
@@ -198,8 +195,9 @@ def _suite_semiring(col: _Collector, limit: int) -> None:
         alg, top = entry.algebra, entry.algebra.top
         add, mul, zero, one = entry.semiring_symbols
         view = SemiringView(alg, add, mul, zero, one)
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            rel = _induced_rel(entry, subset)
+            rel = closures.relation(subset.mask)
             ind = left_image(rel, subset)
             ded = right_image(rel, subset)
             col.equal(entry.name, str(subset), "induction-equals-sum-with-ideal",
@@ -285,8 +283,9 @@ def _suite_maltsev(col: _Collector, limit: int) -> None:
         alg, top = entry.algebra, entry.algebra.top
         verified = check_maltsev_term(alg, entry.maltsev_symbol)
         col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            rel = _induced_rel(entry, subset)
+            rel = closures.relation(subset.mask)
             col.equal(entry.name, str(subset), "induction-equals-deduction",
                       left_image(rel, subset), right_image(rel, subset))
         for pairs in _pair_sets(alg.size):
@@ -314,9 +313,10 @@ def _suite_subtractive(col: _Collector, limit: int) -> None:
             col.check(result.rank is not None and result.rank <= 2,
                       entry.name, str(result.witness), f"{mode}-rank-at-most-2",
                       "<=2", result.describe())
+        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size):
-            ind_fix = iterate(alg, top, subset, "induction").final()
-            ded_fix = iterate(alg, top, subset, "deduction").final()
+            ind_fix = closures.iterate(subset, "induction").final()
+            ded_fix = closures.iterate(subset, "deduction").final()
             clot = clot_closure(alg, top, subset)
             col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
             col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)

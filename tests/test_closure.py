@@ -1,11 +1,15 @@
-"""Closure operators: generated relations, clots, induction/deduction,
-iteration reports, normality, and the power-image sandwich."""
+"""Closure operators: generated relations, the per-algebra relation cache,
+clots, induction/deduction, iteration reports, normality, and the
+power-image sandwich."""
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from finalg import (
     BinRel,
+    Closures,
     ElementSet,
     build_catalog,
     check_sandwich,
@@ -22,7 +26,9 @@ from finalg import (
     top_induction,
 )
 from finalg.closure import relation_power_images, union_of_power_images
-from finalg.errors import ValueOutOfRange
+from finalg.errors import SizeOverflow, ValueOutOfRange
+from finalg.relations import left_image, right_image
+from references import induced, iterate_afresh
 
 
 def by_name(name: str):
@@ -65,6 +71,75 @@ class TestSemicongruence:
     def test_pair_out_of_range(self):
         with pytest.raises(ValueOutOfRange):
             semicongruence_generated(by_name("z4-monoid"), [(4, 0)])
+
+
+class TestClosuresCache:
+    def test_every_mask_equals_the_kernel(self):
+        # one cache per algebra, masks in numeric order: each R_T grows from
+        # the kept R of T without its highest element
+        for entry in build_catalog(6):
+            alg, top = entry.algebra, entry.algebra.top
+            closures = Closures(alg, top)
+            for mask in range(1 << alg.size):
+                assert closures.relation(mask) == induced(alg, top, mask), (entry.name, mask)
+
+    def test_grown_from_any_kept_subset(self):
+        rng = random.Random(5)
+        for entry in build_catalog(6):
+            alg, top = entry.algebra, entry.algebra.top
+            full = (1 << alg.size) - 1
+            for _ in range(12):
+                target = rng.randrange(full + 1)
+                for base in (0, target, target & rng.randrange(full + 1)):
+                    closures = Closures(alg, top)
+                    closures.relation(base)
+                    closures.step("induction", target, base=base)  # grows R_target
+                    got = closures.relation(target)
+                    assert got == induced(alg, top, target), (entry.name, target, base)
+
+    def test_base_not_kept_or_not_inside(self):
+        alg = by_name("z4-ring")
+        closures = Closures(alg, 0)
+        closures.step("deduction", 0b0110, base=0b0011)
+        assert closures.relation(0b0110) == induced(alg, 0, 0b0110)
+        closures.relation(0b1000)
+        closures.step("deduction", 0b0101, base=0b1000)
+        assert closures.relation(0b0101) == induced(alg, 0, 0b0101)
+
+    def test_iterate_through_the_cache_equals_the_reference(self):
+        for entry in build_catalog(5):
+            alg, top = entry.algebra, entry.algebra.top
+            closures = Closures(alg, top)
+            for subset in subsets_in_order(alg.size, nonempty=False):
+                for mode in ("induction", "deduction"):
+                    expected = iterate_afresh(alg, top, subset, mode)
+                    assert closures.iterate(subset, mode) == expected
+                    assert iterate(alg, top, subset, mode) == expected
+                    expected = iterate_afresh(alg, top, subset, mode, 1)
+                    assert closures.iterate(subset, mode, 1) == expected
+
+    def test_steps_are_the_images_of_the_relation(self):
+        alg = by_name("sat3-monoid")
+        closures = Closures(alg, alg.top)
+        for mask in range(16):
+            rel = induced(alg, alg.top, mask)
+            subset = ElementSet(4, mask)
+            assert closures.step("induction", mask) == left_image(rel, subset).mask
+            assert closures.step("deduction", mask) == right_image(rel, subset).mask
+
+    def test_refusals(self):
+        alg = by_name("z4-monoid")
+        with pytest.raises(ValueOutOfRange):
+            Closures(alg, 4)
+        with pytest.raises(ValueOutOfRange):
+            Closures(alg, 0).relation(1 << 4)
+        with pytest.raises(ValueOutOfRange):
+            Closures(alg, 0).step("induction", -1)
+        big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
+        with pytest.raises(SizeOverflow):
+            Closures(big, 0)
+        with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\)"):
+            Closures(alg, 0).iterate(ElementSet.of(6, [1, 5]), "induction")
 
 
 class TestCongruence:
@@ -179,6 +254,15 @@ class TestIterate:
         assert report.chain == (subset,)
         with pytest.raises(ValueOutOfRange):
             report.stage(3)
+
+    def test_negative_stage_is_refused(self):
+        # a negative index must not count from the end of the chain
+        alg = by_name("sat3-monoid")
+        report = iterate(alg, alg.top, ElementSet.of(4, [3]), "deduction")
+        assert len(report.chain) > 2
+        for n in (-1, -2, -len(report.chain) - 1):
+            with pytest.raises(ValueOutOfRange):
+                report.stage(n)
 
     def test_stage_after_fixpoint_is_final(self):
         alg = by_name("bool-semiring")

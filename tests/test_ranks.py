@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finalg import ElementSet, algebra_rank, build_catalog, make_algebra, subsets_in_order
 from finalg.errors import CarrierTooLarge
+from references import rank_by_iteration
 
 
 def by_name(name: str):
@@ -87,3 +90,47 @@ class TestAlgebraRank:
         alg = make_algebra([("point", 0)], 17, {"point": [0]}, top=0)
         with pytest.raises(CarrierTooLarge):
             algebra_rank(alg, 0, "induction")
+
+
+@st.composite
+def algebras_with_top(draw):
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = {}
+    for i, k in enumerate(arities):
+        # values below a drawn bound: the fewer values an op takes, the
+        # smaller the relations and the longer the chains to a fixpoint
+        hi = draw(st.integers(0, n - 1))
+        tables[f"f{i}"] = draw(st.lists(st.integers(0, hi), min_size=n**k, max_size=n**k))
+    alg = make_algebra([(f"f{i}", k) for i, k in enumerate(arities)], n, tables)
+    return alg, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200)
+@given(algebras_with_top(), st.sampled_from(["induction", "deduction"]),
+       st.sampled_from([None, 0, 1, 2]))
+def test_memoised_rank_equals_rank_by_iteration(case, mode, max_n):
+    alg, top = case
+    got = algebra_rank(alg, top, mode, max_n)
+    expected = rank_by_iteration(alg, top, mode, max_n)
+    assert (got.rank, got.witness, got.describe()) == \
+        (expected.rank, expected.witness, expected.describe())
+    assert got.witness_report.chain == expected.witness_report.chain
+    assert got.witness_report.steps_to_fixpoint == expected.witness_report.steps_to_fixpoint
+    assert got == expected
+
+
+def test_memoised_rank_equals_rank_by_iteration_on_the_catalog():
+    # the saturating monoids up to n = 8 reach deduction rank 3, so each
+    # budget 0, 1 and 2 is exceeded somewhere
+    seen = set()
+    for entry in build_catalog(8):
+        if entry.algebra.size > 4 and not entry.name.startswith("sat"):
+            continue
+        alg = entry.algebra
+        for mode in ("induction", "deduction"):
+            for max_n in (None, 0, 1, 2):
+                got = algebra_rank(alg, alg.top, mode, max_n)
+                assert got == rank_by_iteration(alg, alg.top, mode, max_n), (entry.name, mode)
+                seen.add(got.describe())
+    assert {"exceeded 0", "exceeded 1", "exceeded 2", "3"} <= seen
