@@ -19,7 +19,6 @@ from .algebra import (
 from .catalog import CatalogEntry, build_catalog
 from .closure import (
     ClosureReport,
-    Closures,
     NormalityResult,
     check_sandwich,
     clot_closure,

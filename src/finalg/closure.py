@@ -5,21 +5,23 @@ Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
 normality compares I against the congruence class of top. `Closures` keeps
-these relations for one algebra and top, keyed by the set, so that iteration
-and the rank grow each from a kept one instead of from the diagonal.
+these relations for one algebra and top, keyed by the set; inside its `with`
+block `iterate` grows each from a kept one instead of from the diagonal.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra
-from .errors import SizeMismatch, SizeOverflow, ValueOutOfRange
+from .errors import SizeOverflow, ValueOutOfRange
 from .relations import (
     BinRel,
     _bits,
+    _check_image_carrier,
     _left_mask,
     _right_mask,
     compose,
@@ -89,6 +91,10 @@ def _check_square(algebra: FiniteAlgebra) -> None:
         raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
 
 
+def _outside(a: int, b: int, n: int) -> ValueOutOfRange:
+    return ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
+
+
 def semicongruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
@@ -100,7 +106,7 @@ def semicongruence_generated(
     rows = list(diagonal)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
-            raise ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
+            raise _outside(a, b, n)
         rows[a] |= 1 << b
     return BinRel(n, _close(algebra, rows, diagonal))
 
@@ -258,8 +264,13 @@ class Closures:
 
     R_I is monotone in I, so a missing R_T is grown from a kept R_J with
     J inside T: the kernel starts from R_J plus T x {top} and only the pairs
-    new to R_J form its first delta. J is the base given, else T without its
-    highest element; with neither kept, R_T is closed from the diagonal."""
+    new to R_J form its first delta. J is the stage `iterate` steps on from,
+    else T without its highest element; with neither kept, R_T is closed
+    from the diagonal.
+
+    Inside `with Closures(algebra, top):` every `iterate` call on that same
+    algebra object and top goes through this object; the block ends the
+    sharing, so no two blocks share work."""
 
     def __init__(self, algebra: FiniteAlgebra, top: int) -> None:
         _check_top(algebra, top)
@@ -270,7 +281,16 @@ class Closures:
         # one mask -> mask map per mode: (deduction, induction)
         self._steps: tuple[dict[int, int], dict[int, int]] = ({}, {})
 
+    def __enter__(self) -> "Closures":
+        self._token = _kept.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _kept.reset(self._token)
+
     def _rows_of(self, mask: int, base: int | None = None) -> tuple[int, ...]:
+        """Rows of R_mask, grown from R_base when that is kept and base lies
+        inside mask."""
         got = self._rows.get(mask)
         if got is not None:
             return got
@@ -290,7 +310,7 @@ class Closures:
         """R_I for the set I with this mask."""
         return BinRel(self.algebra.size, self._rows_of(mask))
 
-    def step(self, mode: Mode, mask: int, base: int | None = None) -> int:
+    def _step(self, mode: Mode, mask: int, base: int | None) -> int:
         """Mask of one induction or deduction step from the set with this
         mask: the left or right image of I under R_I, with R_I grown from
         R_base if that is kept."""
@@ -302,34 +322,9 @@ class Closures:
             got = memo[mask] = image(rows, mask)
         return got
 
-    def iterate(
-        self, subset: ElementSet, mode: Mode, max_steps: int | None = None
-    ) -> ClosureReport:
-        """Step from `subset` until a fixpoint or max_steps (default n + 1);
-        each stage's relation grows from the one before, as both steps are
-        increasing."""
-        n = self.algebra.size
-        if max_steps is None:
-            max_steps = n + 1
-        mask = subset.mask
-        if mask >> n:  # refused as the kernel refuses its pairs
-            x = next(x for x in subset if x >= n)
-            raise ValueOutOfRange(f"pair ({x},{self.top}) outside carrier of size {n}")
-        if max_steps > 0 and subset.size != n:
-            side = "target" if mode == "induction" else "source"
-            raise SizeMismatch(f"{side} set over a different carrier")
-        relation0 = self.relation(mask)
-        chain = [subset]
-        steps: int | None = None
-        base = None
-        for _ in range(max_steps):
-            nxt = self.step(mode, mask, base)
-            chain.append(ElementSet(n, nxt))
-            if nxt == mask:
-                steps = len(chain) - 2
-                break
-            base, mask = mask, nxt
-        return ClosureReport(mode, tuple(chain), steps, relation0)
+
+# the Closures whose `with` block is open, if any
+_kept: ContextVar[Closures | None] = ContextVar("finalg_kept_closures", default=None)
 
 
 def iterate(
@@ -339,9 +334,35 @@ def iterate(
     mode: Mode,
     max_steps: int | None = None,
 ) -> ClosureReport:
-    """Apply induction or deduction repeatedly, generating the relation of
-    the current set at every step, until a fixpoint or max_steps."""
-    return Closures(algebra, top).iterate(subset, mode, max_steps)
+    """Apply induction or deduction repeatedly, with the relation of the
+    current set at every step, until a fixpoint or max_steps (default n + 1).
+
+    Both steps are increasing, so each stage's relation grows from the one
+    before. Inside `with Closures(algebra, top)` the relations and steps are
+    those kept by that object; otherwise they are kept for this call only."""
+    closures = _kept.get()
+    if closures is None or closures.algebra is not algebra or closures.top != top:
+        closures = Closures(algebra, top)
+    n = algebra.size
+    if max_steps is None:
+        max_steps = n + 1
+    mask = subset.mask
+    if mask >> n:  # refused as the kernel refuses its pairs
+        raise _outside(next(x for x in subset if x >= n), top, n)
+    if max_steps > 0:
+        _check_image_carrier(n, subset, "left" if mode == "induction" else "right")
+    relation0 = closures.relation(mask)
+    chain = [subset]
+    steps: int | None = None
+    base = None
+    for _ in range(max_steps):
+        nxt = closures._step(mode, mask, base)
+        chain.append(ElementSet(n, nxt))
+        if nxt == mask:
+            steps = len(chain) - 2
+            break
+        base, mask = mask, nxt
+    return ClosureReport(mode, tuple(chain), steps, relation0)
 
 
 class NormalityResult(NamedTuple):
@@ -393,11 +414,11 @@ def check_sandwich(
     for deduction, and that the fixpoints equal the unions of all images."""
     if n < 0:
         raise ValueOutOfRange("n must be non-negative")
-    closures = Closures(algebra, top)
+    _check_top(algebra, top)
+    rel = _relation_for(algebra, top, subset)
     hi = max(1, 2**n - 1)
     for mode, side in (("induction", "left"), ("deduction", "right")):
-        report = closures.iterate(subset, mode)  # type: ignore[arg-type]
-        rel = report.relation_used
+        report = iterate(algebra, top, subset, mode)  # type: ignore[arg-type]
         powers = relation_power_images(rel, subset, hi, side)  # type: ignore[arg-type]
         stage = report.stage(n)
         if not powers[n].issubset(stage):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import ElementSet, FiniteAlgebra
-from .closure import ClosureReport, Closures, Mode
+from .closure import ClosureReport, Closures, Mode, iterate
 from .errors import CarrierTooLarge
 
 ENUMERATION_LIMIT = 16
@@ -47,45 +47,27 @@ def algebra_rank(
 ) -> RankResult:
     """Largest steps-to-fixpoint over every nonempty subset of the carrier.
 
-    The steps of a set are its distance to a fixpoint in the functional graph
-    mask -> step(mask), so each mask is stepped once and its steps memoised;
-    in enumeration order every R_T grows from the kept R of T without its
-    highest element. The witness's report is replayed through the same cache."""
+    The subsets are iterated through one `Closures`, so each mask is stepped
+    once and, in enumeration order, every R_T grows from the kept R of T
+    without its highest element."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(
             f"carrier size {algebra.size} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
     if max_n is None:
         max_n = algebra.size
-    closures = Closures(algebra, top)
-    steps_of: dict[int, int] = {}
-
-    def steps(mask: int) -> int:
-        path: list[int] = []
-        base = None
-        while mask not in steps_of:
-            nxt = closures.step(mode, mask, base)
-            if nxt == mask:
-                steps_of[mask] = 0
-                break
-            path.append(mask)
-            base, mask = mask, nxt
-        count = steps_of[mask]
-        for earlier in reversed(path):
-            count += 1
-            steps_of[earlier] = count
-        return count
-
     best = -1
     witness: ElementSet | None = None
-    exceeded = False
-    for subset in subsets_in_order(algebra.size):
-        count = steps(subset.mask)
-        if count > max_n:
-            witness, exceeded = subset, True
-            break
-        if count > best:
-            best, witness = count, subset
-    assert witness is not None
-    report = closures.iterate(witness, mode, max_steps=max_n + 1)
-    return RankResult(mode, None if exceeded else best, max_n, witness, report)
+    witness_report: ClosureReport | None = None
+    with Closures(algebra, top):
+        for subset in subsets_in_order(algebra.size):
+            report = iterate(algebra, top, subset, mode, max_steps=max_n + 1)
+            steps = report.steps_to_fixpoint
+            if steps is None or steps > max_n:
+                return RankResult(mode, None, max_n, subset, report)
+            if steps > best:
+                best = steps
+                witness = subset
+                witness_report = report
+    assert witness is not None and witness_report is not None
+    return RankResult(mode, best, max_n, witness, witness_report)

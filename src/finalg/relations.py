@@ -128,16 +128,21 @@ def opposite(rel: BinRel) -> BinRel:
 
 def left_image(rel: BinRel, targets: ElementSet) -> ElementSet:
     """{x | x R y for some y in targets}."""
-    if targets.size != rel.size:
-        raise SizeMismatch("target set over a different carrier")
+    _check_image_carrier(rel.size, targets, "left")
     return ElementSet(rel.size, _left_mask(rel.rows, targets.mask))
 
 
 def right_image(rel: BinRel, sources: ElementSet) -> ElementSet:
     """{x | y R x for some y in sources}."""
-    if sources.size != rel.size:
-        raise SizeMismatch("source set over a different carrier")
+    _check_image_carrier(rel.size, sources, "right")
     return ElementSet(rel.size, _right_mask(rel.rows, sources.mask))
+
+
+def _check_image_carrier(size: int, subset: ElementSet, side: str) -> None:
+    """Refuse to take the left or right image of a set over another carrier."""
+    if subset.size != size:
+        role = "target" if side == "left" else "source"
+        raise SizeMismatch(f"{role} set over a different carrier")
 
 
 def _left_mask(rows: tuple[int, ...], targets: int) -> int:

@@ -18,6 +18,7 @@ from .closure import (
     clot_closure,
     congruence_generated,
     is_top_normal,
+    iterate,
     relation_power_images,
     semicongruence_generated,
     top_deduction,
@@ -132,23 +133,23 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
     hi = 2**max_n - 1
     for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
-        closures = Closures(alg, top)
-        for subset in subsets_in_order(alg.size):
-            rel = closures.relation(subset.mask)
-            for mode, side in (("induction", "left"), ("deduction", "right")):
-                report = closures.iterate(subset, mode)
-                powers = relation_power_images(rel, subset, hi, side)
-                for n in range(max_n + 1):
-                    stage = report.stage(n)
-                    ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
-                    col.check(
-                        ok, entry.name, str(subset), f"{mode}-sandwich-n{n}",
-                        f"{powers[n]}<=stage<={powers[2**n - 1]}", str(stage),
+        with Closures(alg, top) as closures:
+            for subset in subsets_in_order(alg.size):
+                rel = closures.relation(subset.mask)
+                for mode, side in (("induction", "left"), ("deduction", "right")):
+                    report = iterate(alg, top, subset, mode)
+                    powers = relation_power_images(rel, subset, hi, side)
+                    for n in range(max_n + 1):
+                        stage = report.stage(n)
+                        ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
+                        col.check(
+                            ok, entry.name, str(subset), f"{mode}-sandwich-n{n}",
+                            f"{powers[n]}<=stage<={powers[2**n - 1]}", str(stage),
+                        )
+                    col.equal(
+                        entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers",
+                        union_of_power_images(rel, subset, side), report.final(),
                     )
-                col.equal(
-                    entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers",
-                    union_of_power_images(rel, subset, side), report.final(),
-                )
 
 
 def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
@@ -313,13 +314,13 @@ def _suite_subtractive(col: _Collector, limit: int) -> None:
             col.check(result.rank is not None and result.rank <= 2,
                       entry.name, str(result.witness), f"{mode}-rank-at-most-2",
                       "<=2", result.describe())
-        closures = Closures(alg, top)
-        for subset in subsets_in_order(alg.size):
-            ind_fix = closures.iterate(subset, "induction").final()
-            ded_fix = closures.iterate(subset, "deduction").final()
-            clot = clot_closure(alg, top, subset)
-            col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
-            col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)
+        with Closures(alg, top):
+            for subset in subsets_in_order(alg.size):
+                ind_fix = iterate(alg, top, subset, "induction").final()
+                ded_fix = iterate(alg, top, subset, "deduction").final()
+                clot = clot_closure(alg, top, subset)
+                col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
+                col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)
 
 
 def _suite_jonsson_tarski(col: _Collector, limit: int) -> None:

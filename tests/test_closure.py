@@ -9,7 +9,6 @@ import pytest
 
 from finalg import (
     BinRel,
-    Closures,
     ElementSet,
     build_catalog,
     check_sandwich,
@@ -25,8 +24,8 @@ from finalg import (
     top_deduction,
     top_induction,
 )
-from finalg.closure import relation_power_images, union_of_power_images
-from finalg.errors import SizeOverflow, ValueOutOfRange
+from finalg.closure import Closures, relation_power_images, union_of_power_images
+from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
 from references import induced, iterate_afresh
 
@@ -93,30 +92,51 @@ class TestClosuresCache:
                 for base in (0, target, target & rng.randrange(full + 1)):
                     closures = Closures(alg, top)
                     closures.relation(base)
-                    closures.step("induction", target, base=base)  # grows R_target
+                    closures._step("induction", target, base)  # grows R_target
                     got = closures.relation(target)
                     assert got == induced(alg, top, target), (entry.name, target, base)
 
     def test_base_not_kept_or_not_inside(self):
         alg = by_name("z4-ring")
         closures = Closures(alg, 0)
-        closures.step("deduction", 0b0110, base=0b0011)
+        closures._step("deduction", 0b0110, 0b0011)
         assert closures.relation(0b0110) == induced(alg, 0, 0b0110)
         closures.relation(0b1000)
-        closures.step("deduction", 0b0101, base=0b1000)
+        closures._step("deduction", 0b0101, 0b1000)
         assert closures.relation(0b0101) == induced(alg, 0, 0b0101)
 
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):
             alg, top = entry.algebra, entry.algebra.top
-            closures = Closures(alg, top)
+            with Closures(alg, top):
+                for subset in subsets_in_order(alg.size, nonempty=False):
+                    for mode in ("induction", "deduction"):
+                        expected = iterate_afresh(alg, top, subset, mode)
+                        assert iterate(alg, top, subset, mode) == expected
+                        expected = iterate_afresh(alg, top, subset, mode, 1)
+                        assert iterate(alg, top, subset, mode, 1) == expected
             for subset in subsets_in_order(alg.size, nonempty=False):
-                for mode in ("induction", "deduction"):
-                    expected = iterate_afresh(alg, top, subset, mode)
-                    assert closures.iterate(subset, mode) == expected
-                    assert iterate(alg, top, subset, mode) == expected
-                    expected = iterate_afresh(alg, top, subset, mode, 1)
-                    assert closures.iterate(subset, mode, 1) == expected
+                assert iterate(alg, top, subset, "deduction") == \
+                    iterate_afresh(alg, top, subset, "deduction")
+
+    def test_iterate_keeps_only_inside_the_block(self):
+        alg = by_name("sat3-monoid")
+        subset = ElementSet.of(4, [3])
+        closures = Closures(alg, alg.top)
+        iterate(alg, alg.top, subset, "deduction")
+        assert closures._steps == ({}, {})
+        with closures:
+            with Closures(alg, alg.top) as inner:
+                iterate(alg, alg.top, subset, "deduction")
+            assert closures._steps == ({}, {}) and inner._steps[0]
+            iterate(alg, (alg.top + 1) % 4, subset, "deduction")  # another top
+            iterate(by_name("z4-monoid"), alg.top, subset, "deduction")  # another algebra
+            assert closures._steps == ({}, {})
+            report = iterate(alg, alg.top, subset, "deduction")
+            assert set(closures._steps[0]) == {s.mask for s in report.chain}
+        kept = dict(closures._steps[0])
+        iterate(alg, alg.top, ElementSet.of(4, [2]), "deduction")
+        assert closures._steps[0] == kept
 
     def test_steps_are_the_images_of_the_relation(self):
         alg = by_name("sat3-monoid")
@@ -124,8 +144,8 @@ class TestClosuresCache:
         for mask in range(16):
             rel = induced(alg, alg.top, mask)
             subset = ElementSet(4, mask)
-            assert closures.step("induction", mask) == left_image(rel, subset).mask
-            assert closures.step("deduction", mask) == right_image(rel, subset).mask
+            assert closures._step("induction", mask, None) == left_image(rel, subset).mask
+            assert closures._step("deduction", mask, None) == right_image(rel, subset).mask
 
     def test_refusals(self):
         alg = by_name("z4-monoid")
@@ -134,12 +154,19 @@ class TestClosuresCache:
         with pytest.raises(ValueOutOfRange):
             Closures(alg, 0).relation(1 << 4)
         with pytest.raises(ValueOutOfRange):
-            Closures(alg, 0).step("induction", -1)
+            Closures(alg, 0)._step("induction", -1, None)
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         with pytest.raises(SizeOverflow):
             Closures(big, 0)
-        with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\)"):
-            Closures(alg, 0).iterate(ElementSet.of(6, [1, 5]), "induction")
+        with Closures(alg, 0):
+            with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\) outside carrier of size 4"):
+                iterate(alg, 0, ElementSet.of(6, [1, 5]), "induction")
+            with pytest.raises(SizeMismatch, match="target set over a different carrier"):
+                iterate(alg, 0, ElementSet.of(3, [1]), "induction")
+            with pytest.raises(SizeMismatch, match="source set over a different carrier"):
+                iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
+            assert iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0).chain == \
+                (ElementSet.of(5, [1]),)
 
 
 class TestCongruence:
