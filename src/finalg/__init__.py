@@ -20,7 +20,6 @@ from .catalog import CatalogEntry, build_catalog
 from .closure import (
     ClosureReport,
     NormalityResult,
-    check_sandwich,
     clot_closure,
     congruence_generated,
     is_top_normal,

@@ -7,7 +7,7 @@ are constants with a one-entry table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iterprod
+from itertools import count, product as iterprod
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -21,6 +21,14 @@ from .errors import (
 )
 
 DEFAULT_CARRIER_LIMIT = 4096
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -92,11 +100,7 @@ class ElementSet:
         return 0 <= x < self.size and bool(self.mask >> x & 1)
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return _bits(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -337,20 +341,21 @@ def generate_subalgebra(algebra: FiniteAlgebra, seed: ElementSet) -> ElementSet:
 
 
 def enumerate_term_images(
-    algebra: FiniteAlgebra, generators: ElementSet, max_depth: int
+    algebra: FiniteAlgebra, generators: ElementSet, max_depth: int | None = None
 ) -> ElementSet:
     """Values of all terms of depth <= max_depth, variables ranging over
-    `generators`. Depth 0 covers variables and constants; one operation
-    application adds one to the deepest argument."""
+    `generators`; with max_depth None, until one more level adds nothing.
+    Depth 0 covers variables and constants; one operation application adds
+    one to the deepest argument."""
     if generators.size != algebra.size:
         raise SizeMismatch("generator set over a different carrier")
-    if max_depth < 0:
+    if max_depth is not None and max_depth < 0:
         raise ValueOutOfRange("max_depth must be non-negative")
     base = set(generators) | set(algebra.constants())
     images = set(base)
     nonconst = [(arity, table) for _, arity, table in algebra.ops() if arity > 0]
     n = algebra.size
-    for _ in range(max_depth):
+    for _ in count() if max_depth is None else range(max_depth):
         nxt = set(base)
         pool = list(images)
         for arity, table in nonconst:
@@ -367,21 +372,4 @@ def enumerate_term_images(
 
 def stabilized_term_images(algebra: FiniteAlgebra, generators: ElementSet) -> ElementSet:
     """Term images at the first depth where one more level adds nothing."""
-    if generators.size != algebra.size:
-        raise SizeMismatch("generator set over a different carrier")
-    base = set(generators) | set(algebra.constants())
-    images = set(base)
-    nonconst = [(arity, table) for _, arity, table in algebra.ops() if arity > 0]
-    n = algebra.size
-    while True:
-        nxt = set(base)
-        pool = list(images)
-        for arity, table in nonconst:
-            for args in iterprod(pool, repeat=arity):
-                idx = 0
-                for a in args:
-                    idx = idx * n + a
-                nxt.add(table[idx])
-        if nxt == images:
-            return ElementSet.of(n, images)
-        images = nxt
+    return enumerate_term_images(algebra, generators)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache, partial
 from typing import Sequence
 
 from .algebra import ElementSet, FiniteAlgebra
@@ -148,14 +149,18 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process; each subcommand sets its `handler`."""
     parser = argparse.ArgumentParser(
         prog="finalg",
         description="Closure computations and verification suites on finite algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(p: argparse.ArgumentParser, needs_set: bool = True) -> None:
+    def with_input(p: argparse.ArgumentParser, handler, needs_set: bool = True) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("file", metavar="FILE", help="algebra description file")
         if needs_set:
             p.add_argument("--set", required=True,
@@ -163,30 +168,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top", type=int, default=None,
                        help="override the file's top element")
 
-    for name, text in (("ind", "iterated induction"), ("ded", "iterated deduction")):
-        p = sub.add_parser(name, help=f"{text} of a set")
-        with_input(p)
+    for name, mode in (("ind", "induction"), ("ded", "deduction")):
+        p = sub.add_parser(name, help=f"iterated {mode} of a set")
+        with_input(p, partial(_cmd_step, mode=mode))
         group = p.add_mutually_exclusive_group()
         group.add_argument("--steps", type=int, default=1, help="number of steps (default 1)")
         group.add_argument("--fixpoint", action="store_true", help="iterate to the fixpoint")
 
-    with_input(sub.add_parser("clot", help="smallest clot containing a set"))
-    with_input(sub.add_parser("normal", help="test whether a set is the class of top"))
-    with_input(sub.add_parser("semicong", help="semicongruence generated by set x {top}"))
-    with_input(sub.add_parser("cong", help="congruence generated by set x {top}"))
+    with_input(sub.add_parser("clot", help="smallest clot containing a set"), _cmd_clot)
+    with_input(sub.add_parser("normal", help="test whether a set is the class of top"),
+               _cmd_normal)
+    with_input(sub.add_parser("semicong", help="semicongruence generated by set x {top}"),
+               partial(_cmd_relation, congruence=False))
+    with_input(sub.add_parser("cong", help="congruence generated by set x {top}"),
+               partial(_cmd_relation, congruence=True))
 
     p = sub.add_parser("rank", help="largest steps-to-fixpoint over nonempty subsets")
-    with_input(p, needs_set=False)
+    with_input(p, _cmd_rank, needs_set=False)
     p.add_argument("--mode", choices=("ind", "ded"), required=True)
     p.add_argument("--max-n", type=int, default=None, help="step budget per subset")
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("--limit", type=int, default=None, help="catalog size limit")
     p.add_argument("--primes", default=None, help="comma-separated primes (nat-chain)")
     p.add_argument("--depth", type=int, default=None, help="chain depth (nat-chain)")
 
     p = sub.add_parser("chain", help="exact deduction chain on naturals under multiplication")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("--primes", required=True, help="comma-separated distinct primes")
     p.add_argument("--depth", type=int, required=True, help="number of steps")
 
@@ -194,34 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "ind":
-            return _cmd_step(args, "induction")
-        if args.command == "ded":
-            return _cmd_step(args, "deduction")
-        if args.command == "clot":
-            return _cmd_clot(args)
-        if args.command == "normal":
-            return _cmd_normal(args)
-        if args.command == "semicong":
-            return _cmd_relation(args, congruence=False)
-        if args.command == "cong":
-            return _cmd_relation(args, congruence=True)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-    except EngineError as exc:
+        return args.handler(args)
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entry() -> None:

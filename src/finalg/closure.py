@@ -4,9 +4,10 @@ distinguished element.
 Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
-normality compares I against the congruence class of top. `Closures` keeps
-these relations for one algebra and top, keyed by the set; inside its `with`
-block `iterate` grows each from a kept one instead of from the diagonal.
+normality compares I against the congruence class of top. Each of them reads
+R_I from a `Closures`, which keeps these relations for one algebra and top,
+keyed by the set, and grows each from a kept one: the `Closures` of an open
+`with` block for that algebra and top, else a fresh one for the one call.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra
+from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra, _bits
 from .errors import SizeOverflow, ValueOutOfRange
 from .relations import (
     BinRel,
-    _bits,
     _check_image_carrier,
     _left_mask,
     _right_mask,
@@ -183,11 +183,16 @@ def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tupl
 def congruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
-    """Smallest congruence containing the pairs: the union of the alternating
-    chain R, R~R, RR~R, ... over the generated semicongruence R (R~ its
-    opposite). Reflexivity makes the chain inclusion-increasing, so it stops
-    when a full alternation adds nothing."""
-    rel = semicongruence_generated(algebra, pairs)
+    """Smallest congruence containing the pairs: the congruence generated by
+    their semicongruence."""
+    return _congruence_of(semicongruence_generated(algebra, pairs))
+
+
+def _congruence_of(rel: BinRel) -> BinRel:
+    """Smallest congruence containing a semicongruence R: the union of the
+    alternating chain R, R~R, RR~R, ... (R~ the opposite of R). Reflexivity
+    makes the chain inclusion-increasing, so it stops when a full alternation
+    adds nothing."""
     rev = opposite(rel)
     acc = rel
     while True:
@@ -197,33 +202,9 @@ def congruence_generated(
         acc = step
 
 
-def _relation_for(algebra: FiniteAlgebra, top: int, current: ElementSet) -> BinRel:
-    return semicongruence_generated(algebra, ((x, top) for x in current))
-
-
 def _check_top(algebra: FiniteAlgebra, top: int) -> None:
     if not 0 <= top < algebra.size:
         raise ValueOutOfRange(f"top element {top} outside carrier of size {algebra.size}")
-
-
-def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
-    """Smallest set containing `subset` that is the left class of top under
-    its own generated relation; the empty set yields {top}."""
-    _check_top(algebra, top)
-    rel = _relation_for(algebra, top, subset)
-    return left_image(rel, ElementSet.of(algebra.size, (top,)))
-
-
-def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
-    """One induction step: left image of `subset` under its generated relation."""
-    _check_top(algebra, top)
-    return left_image(_relation_for(algebra, top, subset), subset)
-
-
-def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
-    """One deduction step: right image of `subset` under its generated relation."""
-    _check_top(algebra, top)
-    return right_image(_relation_for(algebra, top, subset), subset)
 
 
 @dataclass(frozen=True)
@@ -235,7 +216,6 @@ class ClosureReport:
     mode: Mode
     chain: tuple[ElementSet, ...]
     steps_to_fixpoint: int | None
-    relation_used: BinRel
 
     def distinct_stages(self) -> tuple[ElementSet, ...]:
         out = [self.chain[0]]
@@ -268,7 +248,8 @@ class Closures:
     else T without its highest element; with neither kept, R_T is closed
     from the diagonal.
 
-    Inside `with Closures(algebra, top):` every `iterate` call on that same
+    Inside `with Closures(algebra, top):` every `iterate`, `top_induction`,
+    `top_deduction`, `clot_closure` and `is_top_normal` call on that same
     algebra object and top goes through this object; the block ends the
     sharing, so no two blocks share work."""
 
@@ -327,6 +308,43 @@ class Closures:
 _kept: ContextVar[Closures | None] = ContextVar("finalg_kept_closures", default=None)
 
 
+def _closures_for(
+    algebra: FiniteAlgebra, top: int, subset: ElementSet, side: str | None
+) -> Closures:
+    """The `Closures` of the open block if it is for this algebra object and
+    top, else a fresh one. A set with a member outside the carrier is refused
+    as the kernel refuses its pairs; with side "left" or "right", so is a set
+    over another carrier, as that image refuses it."""
+    closures = _kept.get()
+    if closures is None or closures.algebra is not algebra or closures.top != top:
+        closures = Closures(algebra, top)
+    n = algebra.size
+    if subset.mask >> n:
+        raise _outside(next(x for x in subset if x >= n), top, n)
+    if side is not None:
+        _check_image_carrier(n, subset, side)
+    return closures
+
+
+def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
+    """One induction step: left image of `subset` under its generated relation."""
+    closures = _closures_for(algebra, top, subset, "left")
+    return ElementSet(algebra.size, closures._step("induction", subset.mask, None))
+
+
+def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
+    """One deduction step: right image of `subset` under its generated relation."""
+    closures = _closures_for(algebra, top, subset, "right")
+    return ElementSet(algebra.size, closures._step("deduction", subset.mask, None))
+
+
+def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
+    """Smallest set containing `subset` that is the left class of top under
+    its own generated relation; the empty set yields {top}."""
+    rows = _closures_for(algebra, top, subset, None)._rows_of(subset.mask)
+    return ElementSet(algebra.size, _left_mask(rows, 1 << top))
+
+
 def iterate(
     algebra: FiniteAlgebra,
     top: int,
@@ -340,18 +358,12 @@ def iterate(
     Both steps are increasing, so each stage's relation grows from the one
     before. Inside `with Closures(algebra, top)` the relations and steps are
     those kept by that object; otherwise they are kept for this call only."""
-    closures = _kept.get()
-    if closures is None or closures.algebra is not algebra or closures.top != top:
-        closures = Closures(algebra, top)
     n = algebra.size
     if max_steps is None:
         max_steps = n + 1
+    side = ("left" if mode == "induction" else "right") if max_steps > 0 else None
+    closures = _closures_for(algebra, top, subset, side)
     mask = subset.mask
-    if mask >> n:  # refused as the kernel refuses its pairs
-        raise _outside(next(x for x in subset if x >= n), top, n)
-    if max_steps > 0:
-        _check_image_carrier(n, subset, "left" if mode == "induction" else "right")
-    relation0 = closures.relation(mask)
     chain = [subset]
     steps: int | None = None
     base = None
@@ -362,7 +374,7 @@ def iterate(
             steps = len(chain) - 2
             break
         base, mask = mask, nxt
-    return ClosureReport(mode, tuple(chain), steps, relation0)
+    return ClosureReport(mode, tuple(chain), steps)
 
 
 class NormalityResult(NamedTuple):
@@ -376,9 +388,9 @@ def is_top_normal(
     """Whether `subset` is exactly the congruence class of top under the
     congruence generated by subset x {top}. The empty set is never normal:
     the class of top contains top."""
-    _check_top(algebra, top)
-    cong = congruence_generated(algebra, ((x, top) for x in subset))
-    cls = left_image(cong, ElementSet.of(algebra.size, (top,)))
+    closures = _closures_for(algebra, top, subset, None)
+    cong = _congruence_of(closures.relation(subset.mask))
+    cls = ElementSet(algebra.size, _left_mask(cong.rows, 1 << top))
     return NormalityResult(subset == cls, cls)
 
 
@@ -404,27 +416,3 @@ def union_of_power_images(
         if nxt == acc:
             return acc
         acc = nxt
-
-
-def check_sandwich(
-    algebra: FiniteAlgebra, top: int, subset: ElementSet, n: int
-) -> bool:
-    """Verify that the n-th iterated induction sits between the n-th and
-    (2^n - 1)-th image of the relation generated by the original set, dually
-    for deduction, and that the fixpoints equal the unions of all images."""
-    if n < 0:
-        raise ValueOutOfRange("n must be non-negative")
-    _check_top(algebra, top)
-    rel = _relation_for(algebra, top, subset)
-    hi = max(1, 2**n - 1)
-    for mode, side in (("induction", "left"), ("deduction", "right")):
-        report = iterate(algebra, top, subset, mode)  # type: ignore[arg-type]
-        powers = relation_power_images(rel, subset, hi, side)  # type: ignore[arg-type]
-        stage = report.stage(n)
-        if not powers[n].issubset(stage):
-            return False
-        if not stage.issubset(powers[2**n - 1]):
-            return False
-        if report.final() != union_of_power_images(rel, subset, side):  # type: ignore[arg-type]
-            return False
-    return True

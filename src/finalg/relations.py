@@ -9,17 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iterprod
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .algebra import ElementSet, FiniteAlgebra
+from .algebra import ElementSet, FiniteAlgebra, _bits
 from .errors import SizeMismatch, ValueOutOfRange
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

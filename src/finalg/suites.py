@@ -10,13 +10,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Iterator
 
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
 from .closure import (
     Closures,
     clot_closure,
-    congruence_generated,
     is_top_normal,
     iterate,
     relation_power_images,
@@ -94,14 +94,25 @@ class _Collector:
         self.check(expected == actual, algebra, subset, check, expected, actual)
 
 
+def _entries(
+    limit: int, wanted: Callable[[CatalogEntry], bool] = lambda entry: True
+) -> Iterator[tuple[CatalogEntry, Closures]]:
+    """The wanted catalog entries, each yielded with its own `with Closures`
+    block open, so every per-set operator on the entry's algebra and top reads
+    R_I from that one cache; the block closes before the next entry opens."""
+    for entry in build_catalog(limit):
+        if wanted(entry):
+            with Closures(entry.algebra, entry.algebra.top) as closures:
+                yield entry, closures
+
+
 def _suite_theorem_a(col: _Collector, limit: int) -> None:
     # nonempty set normal iff one induction step and one deduction step fix it
-    for entry in build_catalog(limit):
+    for entry, _ in _entries(limit):
         alg, top = entry.algebra, entry.algebra.top
-        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size):
-            rel = closures.relation(subset.mask)
-            fixed = left_image(rel, subset) == subset and right_image(rel, subset) == subset
+            fixed = top_induction(alg, top, subset) == subset and \
+                top_deduction(alg, top, subset) == subset
             normal = is_top_normal(alg, top, subset).is_normal
             col.equal(entry.name, str(subset), "normal-iff-inductive-and-deductive", fixed, normal)
 
@@ -112,7 +123,7 @@ def _suite_theorem_b(col: _Collector, limit: int) -> None:
     # implication holds everywhere; the converse has genuine counterexamples
     # (smallest: the additive cyclic monoid of order 2 with I = {1}), so this
     # suite reports real failures rather than a weakened check.
-    for entry in build_catalog(limit):
+    for entry, _ in _entries(limit):
         alg, top = entry.algebra, entry.algebra.top
         top_sub = generate_subalgebra(alg, ElementSet.of(alg.size, (top,)))
         for subset in subsets_in_order(alg.size):
@@ -131,29 +142,28 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
     # and the fixpoints equal the unions of all powers
     max_n = 3
     hi = 2**max_n - 1
-    for entry in build_catalog(limit):
+    for entry, closures in _entries(limit):
         alg, top = entry.algebra, entry.algebra.top
-        with Closures(alg, top) as closures:
-            for subset in subsets_in_order(alg.size):
-                rel = closures.relation(subset.mask)
-                for mode, side in (("induction", "left"), ("deduction", "right")):
-                    report = iterate(alg, top, subset, mode)
-                    powers = relation_power_images(rel, subset, hi, side)
-                    for n in range(max_n + 1):
-                        stage = report.stage(n)
-                        ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
-                        col.check(
-                            ok, entry.name, str(subset), f"{mode}-sandwich-n{n}",
-                            f"{powers[n]}<=stage<={powers[2**n - 1]}", str(stage),
-                        )
-                    col.equal(
-                        entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers",
-                        union_of_power_images(rel, subset, side), report.final(),
+        for subset in subsets_in_order(alg.size):
+            rel = closures.relation(subset.mask)
+            for mode, side in (("induction", "left"), ("deduction", "right")):
+                report = iterate(alg, top, subset, mode)
+                powers = relation_power_images(rel, subset, hi, side)
+                for n in range(max_n + 1):
+                    stage = report.stage(n)
+                    ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
+                    col.check(
+                        ok, entry.name, str(subset), f"{mode}-sandwich-n{n}",
+                        f"{powers[n]}<=stage<={powers[2**n - 1]}", str(stage),
                     )
+                col.equal(
+                    entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers",
+                    union_of_power_images(rel, subset, side), report.final(),
+                )
 
 
 def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
+    for entry, _ in _entries(limit):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size, nonempty=False):
             once = clot_closure(alg, top, subset)
@@ -163,16 +173,13 @@ def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
 
 def _suite_term_oracle(col: _Collector, limit: int) -> None:
     # relation closure vs depth-stabilized term enumeration on the square
-    for entry in build_catalog(limit):
+    for entry, closures in _entries(limit, lambda entry: entry.algebra.size <= 4):
         alg, top = entry.algebra, entry.algebra.top
-        if alg.size > 4:
-            continue
         n = alg.size
         square = product_square(alg)
         diagonal = 0
         for a in range(n):
             diagonal |= 1 << (a * n + a)
-        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
             mask = diagonal
             for x in subset:
@@ -190,17 +197,14 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
 
 
 def _suite_semiring(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
-        if entry.semiring_symbols is None:
-            continue
+    for entry, closures in _entries(limit, lambda entry: entry.semiring_symbols is not None):
         alg, top = entry.algebra, entry.algebra.top
         add, mul, zero, one = entry.semiring_symbols
         view = SemiringView(alg, add, mul, zero, one)
-        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
             rel = closures.relation(subset.mask)
-            ind = left_image(rel, subset)
-            ded = right_image(rel, subset)
+            ind = top_induction(alg, top, subset)
+            ded = top_deduction(alg, top, subset)
             col.equal(entry.name, str(subset), "induction-equals-sum-with-ideal",
                       semiring_ind_oracle(view, subset), ind)
             col.equal(entry.name, str(subset), "deduction-equals-ideal-difference",
@@ -232,9 +236,7 @@ def _submonoids(entry: CatalogEntry) -> list[ElementSet]:
 
 
 def _suite_comm_monoid(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
-        if entry.monoid_symbols is None:
-            continue
+    for entry, _ in _entries(limit, lambda entry: entry.monoid_symbols is not None):
         alg, top = entry.algebra, entry.algebra.top
         add, _ = entry.monoid_symbols
         table = alg.table(add)
@@ -277,74 +279,62 @@ def _pair_sets(size: int) -> list[list[tuple[int, int]]]:
     return out
 
 
+def _check_ranks(col: _Collector, entry: CatalogEntry, bound: int) -> None:
+    """Check that the entry's induction and deduction ranks are at most `bound`."""
+    alg = entry.algebra
+    for mode in ("induction", "deduction"):
+        result = algebra_rank(alg, alg.top, mode)
+        col.check(result.rank is not None and result.rank <= bound,
+                  entry.name, str(result.witness), f"{mode}-rank-at-most-{bound}",
+                  f"<={bound}", result.describe())
+
+
 def _suite_maltsev(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
-        if entry.maltsev_symbol is None:
-            continue
+    for entry, _ in _entries(limit, lambda entry: entry.maltsev_symbol is not None):
         alg, top = entry.algebra, entry.algebra.top
         verified = check_maltsev_term(alg, entry.maltsev_symbol)
         col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
-        closures = Closures(alg, top)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            rel = closures.relation(subset.mask)
             col.equal(entry.name, str(subset), "induction-equals-deduction",
-                      left_image(rel, subset), right_image(rel, subset))
+                      top_induction(alg, top, subset), top_deduction(alg, top, subset))
         for pairs in _pair_sets(alg.size):
             rel = semicongruence_generated(alg, pairs)
             label = "".join(f"({a},{b})" for a, b in pairs) or "()"
             col.check(rel.is_symmetric() and rel.is_transitive(),
                       entry.name, label, "semicongruence-already-congruence",
                       "symmetric and transitive", sorted(rel.pairs()))
-        for mode in ("induction", "deduction"):
-            result = algebra_rank(alg, top, mode)
-            col.check(result.rank is not None and result.rank <= 1,
-                      entry.name, str(result.witness), f"{mode}-rank-at-most-1",
-                      "<=1", result.describe())
+        _check_ranks(col, entry, 1)
 
 
 def _suite_subtractive(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
-        if entry.subtractive_symbol is None:
-            continue
+    for entry, _ in _entries(limit, lambda entry: entry.subtractive_symbol is not None):
         alg, top = entry.algebra, entry.algebra.top
         verified = check_subtractive_term(alg, entry.subtractive_symbol, top)
         col.check(verified, entry.name, "-", "subtractive-term-verifies", True, verified)
-        for mode in ("induction", "deduction"):
-            result = algebra_rank(alg, top, mode)
-            col.check(result.rank is not None and result.rank <= 2,
-                      entry.name, str(result.witness), f"{mode}-rank-at-most-2",
-                      "<=2", result.describe())
-        with Closures(alg, top):
-            for subset in subsets_in_order(alg.size):
-                ind_fix = iterate(alg, top, subset, "induction").final()
-                ded_fix = iterate(alg, top, subset, "deduction").final()
-                clot = clot_closure(alg, top, subset)
-                col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
-                col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)
+        _check_ranks(col, entry, 2)
+        for subset in subsets_in_order(alg.size):
+            ind_fix = iterate(alg, top, subset, "induction").final()
+            ded_fix = iterate(alg, top, subset, "deduction").final()
+            clot = clot_closure(alg, top, subset)
+            col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
+            col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)
 
 
 def _suite_jonsson_tarski(col: _Collector, limit: int) -> None:
-    for entry in build_catalog(limit):
-        if entry.subtractive_symbol is None or entry.jonsson_tarski_symbol is None:
-            continue
+    for entry, _ in _entries(limit, lambda entry: entry.jonsson_tarski_symbol is not None):
         alg, top = entry.algebra, entry.algebra.top
-        if not check_subtractive_term(alg, entry.subtractive_symbol, top):
+        if entry.subtractive_symbol is None or \
+                not check_subtractive_term(alg, entry.subtractive_symbol, top):
             continue
         verified = check_jonsson_tarski_term(alg, entry.jonsson_tarski_symbol, top)
         col.check(verified, entry.name, "-", "jonsson-tarski-term-verifies", True, verified)
-        for mode in ("induction", "deduction"):
-            result = algebra_rank(alg, top, mode)
-            col.check(result.rank is not None and result.rank <= 1,
-                      entry.name, str(result.witness), f"{mode}-rank-at-most-1",
-                      "<=1", result.describe())
+        _check_ranks(col, entry, 1)
 
 
 def _suite_rank0(col: _Collector, limit: int) -> None:
     # pointed sets: every non-projection term is constant, induction is the
     # identity, deduction stabilizes after exactly one step
-    for entry in build_catalog(limit):
-        if entry.kind != "pointed" or entry.algebra.size < 2:
-            continue
+    for entry, _ in _entries(limit, lambda e: e.kind == "pointed" and e.algebra.size >= 2):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size, nonempty=False):
             col.equal(entry.name, str(subset), "induction-is-identity",

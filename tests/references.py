@@ -17,8 +17,7 @@ def iterate_afresh(alg, top, subset, mode, max_steps=None):
     if max_steps is None:
         max_steps = alg.size + 1
     image = left_image if mode == "induction" else right_image
-    relation0 = induced(alg, top, subset.mask)
-    rel = relation0
+    rel = induced(alg, top, subset.mask)
     chain = [subset]
     steps = None
     for _ in range(max_steps):
@@ -29,7 +28,7 @@ def iterate_afresh(alg, top, subset, mode, max_steps=None):
             steps = len(chain) - 2
             break
         rel = induced(alg, top, nxt.mask)
-    return ClosureReport(mode, tuple(chain), steps, relation0)
+    return ClosureReport(mode, tuple(chain), steps)
 
 
 def rank_by_iteration(alg, top, mode, max_n=None):

@@ -10,7 +10,7 @@ import pytest
 
 import finalg
 from finalg import build_catalog, render_algebra
-from finalg.cli import main
+from finalg.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -231,18 +231,52 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
 
+def _fresh_env():
+    src = str(Path(finalg.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+
+
+class TestOneProcess:
+    def test_shared_parser_matches_fresh_processes(self, files, capsys):
+        # the parser is built once per process; later calls, a usage error
+        # among them, must print what a fresh process prints
+        calls = [
+            ["ind", files["z4-ring"], "--set", "2", "--fixpoint"],
+            ["clot", files["bool-semiring"], "--set", "1"],
+            ["normal", files["z4-ring"], "--set", "0,2"],
+            ["cong", files["z4-monoid"], "--set", "2"],
+            ["ind", files["z4-monoid"], "--steps", "2"],
+            ["rank", files["z4-group"], "--mode", "ded"],
+            ["ded", files["z4-monoid"], "--set", "9"],
+            ["verify", "--suite", "nat-chain", "--depth", "2"],
+            ["ind", files["z4-ring"], "--set", "2", "--fixpoint"],
+        ]
+        assert build_parser() is build_parser()
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "finalg", *argv], capture_output=True,
+                                   text=True, env=_fresh_env(), timeout=120)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0]
+
+
 class TestModuleEntry:
     """`python -m finalg` and `python -m finalg.cli` run the same main()."""
 
     @pytest.mark.parametrize("module", ["finalg", "finalg.cli"])
     def test_failing_suite_exits_one(self, module):
-        src = str(Path(finalg.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        ))
         proc = subprocess.run(
             [sys.executable, "-m", module, "verify", "--suite", "theorem-b"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_fresh_env(), timeout=120,
         )
         assert proc.returncode == 1
         assert proc.stdout.splitlines()[0] == "FAIL theorem-b 209 67"

@@ -1,9 +1,11 @@
 """Closure operators: generated relations, the per-algebra relation cache,
-clots, induction/deduction, iteration reports, normality, and the
-power-image sandwich."""
+clots, induction/deduction, iteration reports, normality, and power
+images."""
 from __future__ import annotations
 
+import dataclasses
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -11,8 +13,8 @@ from finalg import (
     BinRel,
     ElementSet,
     build_catalog,
-    check_sandwich,
     clot_closure,
+    congruence_by_unionfind,
     congruence_generated,
     generate_subalgebra,
     is_compatible,
@@ -35,6 +37,19 @@ def by_name(name: str):
         if entry.name == name:
             return entry.algebra
     raise LookupError(name)
+
+
+def _top_component(rel, top):
+    """Class of top under the equivalence generated by `rel`, by search."""
+    n = rel.size
+    seen, todo = {top}, [top]
+    while todo:
+        a = todo.pop()
+        for b in range(n):
+            if b not in seen and ((a, b) in rel or (b, a) in rel):
+                seen.add(b)
+                todo.append(b)
+    return ElementSet.of(n, seen)
 
 
 def sample_entries():
@@ -167,6 +182,69 @@ class TestClosuresCache:
                 iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
             assert iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0).chain == \
                 (ElementSet.of(5, [1]),)
+        # the single-shot operators, outside any block and inside one, refuse
+        # as they did when each closed R_I from the diagonal
+        one = ElementSet.of(4, [1])
+        clot, normal = clot_closure(alg, 0, one), is_top_normal(alg, 0, one)
+        for block in (nullcontext(), Closures(alg, 0)):
+            with block:
+                for op in (top_induction, top_deduction, clot_closure, is_top_normal):
+                    with pytest.raises(ValueOutOfRange,
+                                       match=r"^top element 4 outside carrier of size 4$"):
+                        op(alg, 4, one)
+                    with pytest.raises(ValueOutOfRange,
+                                       match=r"^pair \(5,0\) outside carrier of size 4$"):
+                        op(alg, 0, ElementSet.of(6, [1, 5]))
+                    with pytest.raises(SizeOverflow,
+                                       match=r"^squared carrier 4225 exceeds limit 4096$"):
+                        op(big, 0, ElementSet.of(65, [1]))
+                for other in (ElementSet.of(3, [1]), ElementSet.of(5, [1])):
+                    with pytest.raises(SizeMismatch,
+                                       match=r"^target set over a different carrier$"):
+                        top_induction(alg, 0, other)
+                    with pytest.raises(SizeMismatch,
+                                       match=r"^source set over a different carrier$"):
+                        top_deduction(alg, 0, other)
+                    assert clot_closure(alg, 0, other) == clot
+                    assert is_top_normal(alg, 0, other) == (False, normal.top_class)
+
+    def test_single_shot_operators_equal_the_reference(self):
+        # every mask, outside any block, inside the entry's block after random
+        # other masks were kept, and inside blocks that must not be used: one
+        # for an equal but distinct algebra object, one for another top
+        rng = random.Random(7)
+        for entry in build_catalog(5):
+            alg, top = entry.algebra, entry.algebra.top
+            n = alg.size
+            top_set = ElementSet.of(n, [top])
+            expected = {}
+            for mask in range(1 << n):
+                subset = ElementSet(n, mask)
+                rel = induced(alg, top, mask)
+                cls = _top_component(rel, top)
+                cong = congruence_by_unionfind(alg, [(x, top) for x in subset])
+                assert cls == left_image(cong, top_set), (entry.name, mask)
+                expected[mask] = (left_image(rel, subset), right_image(rel, subset),
+                                  left_image(rel, top_set), (subset == cls, cls))
+            own = Closures(alg, top)
+            for mask in rng.sample(sorted(expected), min(6, len(expected))):
+                own.relation(mask)
+                own._step(rng.choice(("induction", "deduction")), mask, None)
+            foreign = [Closures(dataclasses.replace(alg), top)]
+            if n > 1:
+                foreign.append(Closures(alg, (top + 1) % n))
+            masks = rng.sample(sorted(expected), len(expected))
+            for block, some in [(nullcontext(), masks), (own, masks)] + \
+                    [(block, masks[:8]) for block in foreign]:
+                with block:
+                    for mask in some:
+                        subset = ElementSet(n, mask)
+                        got = (top_induction(alg, top, subset), top_deduction(alg, top, subset),
+                               clot_closure(alg, top, subset), is_top_normal(alg, top, subset))
+                        assert got == expected[mask], (entry.name, mask, block)
+            for block in foreign:
+                assert list(block._rows) == [0] and block._steps == ({}, {}), entry.name
+            assert len(own._rows) == 1 << n, entry.name
 
 
 class TestCongruence:
@@ -297,12 +375,6 @@ class TestIterate:
         assert report.stage(10) == report.final()
         assert report.stage(0) == ElementSet.of(2, [1])
 
-    def test_relation_used_is_the_step_zero_relation(self):
-        alg = by_name("z4-monoid")
-        subset = ElementSet.of(4, [2])
-        report = iterate(alg, 0, subset, "induction")
-        assert report.relation_used == semicongruence_generated(alg, [(2, 0)])
-
     def test_chains_increase_and_stabilize_within_carrier_size(self):
         for entry in build_catalog(4):
             alg = entry.algebra
@@ -332,24 +404,6 @@ class TestNormality:
             ok, cls = is_top_normal(alg, alg.top, ElementSet.empty(alg.size))
             assert not ok
             assert alg.top in cls
-
-
-class TestSandwich:
-    def test_small_n_and_frozen_example(self):
-        alg = by_name("bool-semiring")
-        subset = ElementSet.of(2, [1])
-        for n in range(4):
-            assert check_sandwich(alg, 0, subset, n)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueOutOfRange):
-            check_sandwich(by_name("bool-semiring"), 0, ElementSet.of(2, [1]), -1)
-
-    def test_across_catalog_samples(self):
-        for entry in sample_entries():
-            alg = entry.algebra
-            for subset in subsets_in_order(alg.size):
-                assert check_sandwich(alg, alg.top, subset, 2)
 
 
 class TestPowerImages:
