@@ -5,13 +5,11 @@ Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
 normality compares I against the congruence class of top. Each of them reads
-R_I from a `Closures`, which keeps these relations for one algebra and top,
-keyed by the set, and grows each from a kept one: the `Closures` of an open
-`with` block for that algebra and top, else a fresh one for the one call.
+R_I from the one kept `Closures`, which keeps these relations for one algebra
+and top, keyed by the set, and grows each from a kept one.
 """
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
@@ -248,10 +246,15 @@ class Closures:
     else T without its highest element; with neither kept, R_T is closed
     from the diagonal.
 
-    Inside `with Closures(algebra, top):` every `iterate`, `top_induction`,
-    `top_deduction`, `clot_closure` and `is_top_normal` call on that same
-    algebra object and top goes through this object; the block ends the
-    sharing, so no two blocks share work."""
+    The module keeps one `Closures`: the last one the operators built. Every
+    `iterate`, `top_induction`, `top_deduction`, `clot_closure`,
+    `is_top_normal` and `algebra_rank` call on the same algebra object and
+    top reads R_I from it; a call on another algebra object or top replaces
+    it. Until then it stays alive: after a rank it holds the rank's whole
+    working set (about 8 MB for z14-monoid). Peak memory does not grow, as
+    the rank held that set while it ran. Threads share the slot without a
+    lock: a `Closures` only stores values that are the same whoever computes
+    them."""
 
     def __init__(self, algebra: FiniteAlgebra, top: int) -> None:
         _check_top(algebra, top)
@@ -261,13 +264,6 @@ class Closures:
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(algebra.size))}
         # one mask -> mask map per mode: (deduction, induction)
         self._steps: tuple[dict[int, int], dict[int, int]] = ({}, {})
-
-    def __enter__(self) -> "Closures":
-        self._token = _kept.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _kept.reset(self._token)
 
     def _rows_of(self, mask: int, base: int | None = None) -> tuple[int, ...]:
         """Rows of R_mask, grown from R_base when that is kept and base lies
@@ -304,20 +300,23 @@ class Closures:
         return got
 
 
-# the Closures whose `with` block is open, if any
-_kept: ContextVar[Closures | None] = ContextVar("finalg_kept_closures", default=None)
+# one slot: the last Closures the operators built. Its own reference keeps
+# the id of its algebra from being reused by another object. The slot is a
+# one-element list, so filling it rebinds no module attribute: tools that
+# patch and restore the module's attributes compare them by identity.
+_kept: list[Closures | None] = [None]
 
 
 def _closures_for(
     algebra: FiniteAlgebra, top: int, subset: ElementSet, side: str | None
 ) -> Closures:
-    """The `Closures` of the open block if it is for this algebra object and
-    top, else a fresh one. A set with a member outside the carrier is refused
-    as the kernel refuses its pairs; with side "left" or "right", so is a set
-    over another carrier, as that image refuses it."""
-    closures = _kept.get()
+    """The kept `Closures` if it is for this algebra object and top, else a
+    fresh one, kept in its place once built. A set with a member outside the
+    carrier is refused as the kernel refuses its pairs; with side "left" or
+    "right", so is a set over another carrier, as that image refuses it."""
+    closures = _kept[0]
     if closures is None or closures.algebra is not algebra or closures.top != top:
-        closures = Closures(algebra, top)
+        closures = _kept[0] = Closures(algebra, top)
     n = algebra.size
     if subset.mask >> n:
         raise _outside(next(x for x in subset if x >= n), top, n)
@@ -356,11 +355,12 @@ def iterate(
     current set at every step, until a fixpoint or max_steps (default n + 1).
 
     Both steps are increasing, so each stage's relation grows from the one
-    before. Inside `with Closures(algebra, top)` the relations and steps are
-    those kept by that object; otherwise they are kept for this call only."""
+    before, and every relation and step is kept by the module's `Closures`."""
     n = algebra.size
     if max_steps is None:
         max_steps = n + 1
+    if max_steps < 0:
+        raise ValueOutOfRange(f"max_steps {max_steps} is negative")
     side = ("left" if mode == "induction" else "right") if max_steps > 0 else None
     closures = _closures_for(algebra, top, subset, side)
     mask = subset.mask

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import ElementSet, FiniteAlgebra
-from .closure import ClosureReport, Closures, Mode, iterate
-from .errors import CarrierTooLarge
+from .closure import ClosureReport, Mode, iterate
+from .errors import CarrierTooLarge, ValueOutOfRange
 
 ENUMERATION_LIMIT = 16
 
@@ -47,27 +47,28 @@ def algebra_rank(
 ) -> RankResult:
     """Largest steps-to-fixpoint over every nonempty subset of the carrier.
 
-    The subsets are iterated through one `Closures`, so each mask is stepped
-    once and, in enumeration order, every R_T grows from the kept R of T
-    without its highest element."""
+    `iterate` reads every subset's relations from the one kept `Closures`,
+    so each mask is stepped once and, in enumeration order, every R_T grows
+    from the kept R of T without its highest element."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(
             f"carrier size {algebra.size} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
     if max_n is None:
         max_n = algebra.size
+    if max_n < 0:
+        raise ValueOutOfRange(f"max_n {max_n} is negative")
     best = -1
     witness: ElementSet | None = None
     witness_report: ClosureReport | None = None
-    with Closures(algebra, top):
-        for subset in subsets_in_order(algebra.size):
-            report = iterate(algebra, top, subset, mode, max_steps=max_n + 1)
-            steps = report.steps_to_fixpoint
-            if steps is None or steps > max_n:
-                return RankResult(mode, None, max_n, subset, report)
-            if steps > best:
-                best = steps
-                witness = subset
-                witness_report = report
+    for subset in subsets_in_order(algebra.size):
+        report = iterate(algebra, top, subset, mode, max_steps=max_n + 1)
+        steps = report.steps_to_fixpoint
+        if steps is None or steps > max_n:
+            return RankResult(mode, None, max_n, subset, report)
+        if steps > best:
+            best = steps
+            witness = subset
+            witness_report = report
     assert witness is not None and witness_report is not None
     return RankResult(mode, best, max_n, witness, witness_report)

@@ -10,12 +10,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
 
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
 from .closure import (
-    Closures,
+    _closures_for,
     clot_closure,
     is_top_normal,
     iterate,
@@ -94,21 +93,9 @@ class _Collector:
         self.check(expected == actual, algebra, subset, check, expected, actual)
 
 
-def _entries(
-    limit: int, wanted: Callable[[CatalogEntry], bool] = lambda entry: True
-) -> Iterator[tuple[CatalogEntry, Closures]]:
-    """The wanted catalog entries, each yielded with its own `with Closures`
-    block open, so every per-set operator on the entry's algebra and top reads
-    R_I from that one cache; the block closes before the next entry opens."""
-    for entry in build_catalog(limit):
-        if wanted(entry):
-            with Closures(entry.algebra, entry.algebra.top) as closures:
-                yield entry, closures
-
-
 def _suite_theorem_a(col: _Collector, limit: int) -> None:
     # nonempty set normal iff one induction step and one deduction step fix it
-    for entry, _ in _entries(limit):
+    for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size):
             fixed = top_induction(alg, top, subset) == subset and \
@@ -123,7 +110,7 @@ def _suite_theorem_b(col: _Collector, limit: int) -> None:
     # implication holds everywhere; the converse has genuine counterexamples
     # (smallest: the additive cyclic monoid of order 2 with I = {1}), so this
     # suite reports real failures rather than a weakened check.
-    for entry, _ in _entries(limit):
+    for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
         top_sub = generate_subalgebra(alg, ElementSet.of(alg.size, (top,)))
         for subset in subsets_in_order(alg.size):
@@ -142,10 +129,10 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
     # and the fixpoints equal the unions of all powers
     max_n = 3
     hi = 2**max_n - 1
-    for entry, closures in _entries(limit):
+    for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size):
-            rel = closures.relation(subset.mask)
+            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
             for mode, side in (("induction", "left"), ("deduction", "right")):
                 report = iterate(alg, top, subset, mode)
                 powers = relation_power_images(rel, subset, hi, side)
@@ -163,7 +150,7 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
 
 
 def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
-    for entry, _ in _entries(limit):
+    for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size, nonempty=False):
             once = clot_closure(alg, top, subset)
@@ -173,7 +160,7 @@ def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
 
 def _suite_term_oracle(col: _Collector, limit: int) -> None:
     # relation closure vs depth-stabilized term enumeration on the square
-    for entry, closures in _entries(limit, lambda entry: entry.algebra.size <= 4):
+    for entry in filter(lambda e: e.algebra.size <= 4, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         n = alg.size
         square = product_square(alg)
@@ -187,7 +174,7 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
             enum = BinRel.from_support(
                 stabilized_term_images(square, ElementSet(n * n, mask)), n
             )
-            rel = closures.relation(subset.mask)
+            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
             col.equal(entry.name, str(subset), "semicongruence-equals-term-enumeration",
                       sorted(enum.pairs()), sorted(rel.pairs()))
             col.equal(entry.name, str(subset), "induction-equals-term-description",
@@ -197,12 +184,12 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
 
 
 def _suite_semiring(col: _Collector, limit: int) -> None:
-    for entry, closures in _entries(limit, lambda entry: entry.semiring_symbols is not None):
+    for entry in filter(lambda e: e.semiring_symbols is not None, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         add, mul, zero, one = entry.semiring_symbols
         view = SemiringView(alg, add, mul, zero, one)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            rel = closures.relation(subset.mask)
+            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
             ind = top_induction(alg, top, subset)
             ded = top_deduction(alg, top, subset)
             col.equal(entry.name, str(subset), "induction-equals-sum-with-ideal",
@@ -236,7 +223,7 @@ def _submonoids(entry: CatalogEntry) -> list[ElementSet]:
 
 
 def _suite_comm_monoid(col: _Collector, limit: int) -> None:
-    for entry, _ in _entries(limit, lambda entry: entry.monoid_symbols is not None):
+    for entry in filter(lambda e: e.monoid_symbols is not None, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         add, _ = entry.monoid_symbols
         table = alg.table(add)
@@ -290,7 +277,7 @@ def _check_ranks(col: _Collector, entry: CatalogEntry, bound: int) -> None:
 
 
 def _suite_maltsev(col: _Collector, limit: int) -> None:
-    for entry, _ in _entries(limit, lambda entry: entry.maltsev_symbol is not None):
+    for entry in filter(lambda e: e.maltsev_symbol is not None, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         verified = check_maltsev_term(alg, entry.maltsev_symbol)
         col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
@@ -307,7 +294,7 @@ def _suite_maltsev(col: _Collector, limit: int) -> None:
 
 
 def _suite_subtractive(col: _Collector, limit: int) -> None:
-    for entry, _ in _entries(limit, lambda entry: entry.subtractive_symbol is not None):
+    for entry in filter(lambda e: e.subtractive_symbol is not None, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         verified = check_subtractive_term(alg, entry.subtractive_symbol, top)
         col.check(verified, entry.name, "-", "subtractive-term-verifies", True, verified)
@@ -321,7 +308,7 @@ def _suite_subtractive(col: _Collector, limit: int) -> None:
 
 
 def _suite_jonsson_tarski(col: _Collector, limit: int) -> None:
-    for entry, _ in _entries(limit, lambda entry: entry.jonsson_tarski_symbol is not None):
+    for entry in filter(lambda e: e.jonsson_tarski_symbol is not None, build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         if entry.subtractive_symbol is None or \
                 not check_subtractive_term(alg, entry.subtractive_symbol, top):
@@ -334,7 +321,8 @@ def _suite_jonsson_tarski(col: _Collector, limit: int) -> None:
 def _suite_rank0(col: _Collector, limit: int) -> None:
     # pointed sets: every non-projection term is constant, induction is the
     # identity, deduction stabilizes after exactly one step
-    for entry, _ in _entries(limit, lambda e: e.kind == "pointed" and e.algebra.size >= 2):
+    for entry in filter(lambda e: e.kind == "pointed" and e.algebra.size >= 2,
+                        build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size, nonempty=False):
             col.equal(entry.name, str(subset), "induction-is-identity",

@@ -64,9 +64,10 @@ class TestStepCommands:
         assert out == "{}\n{}\n"
 
     def test_negative_steps_rejected(self, files, capsys):
-        code, _, err = run(capsys, "ind", files["z4-monoid"], "--set", "1", "--steps", "-1")
+        code, out, err = run(capsys, "ind", files["z4-monoid"], "--set", "1", "--steps", "-1")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err == "error: --steps must be non-negative\n"
 
     def test_steps_and_fixpoint_conflict(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

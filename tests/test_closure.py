@@ -4,8 +4,12 @@ images."""
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
-from contextlib import nullcontext
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from finalg import (
     top_deduction,
     top_induction,
 )
+from finalg import closure
 from finalg.closure import Closures, relation_power_images, union_of_power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
@@ -123,35 +128,106 @@ class TestClosuresCache:
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):
             alg, top = entry.algebra, entry.algebra.top
-            with Closures(alg, top):
-                for subset in subsets_in_order(alg.size, nonempty=False):
-                    for mode in ("induction", "deduction"):
-                        expected = iterate_afresh(alg, top, subset, mode)
-                        assert iterate(alg, top, subset, mode) == expected
-                        expected = iterate_afresh(alg, top, subset, mode, 1)
-                        assert iterate(alg, top, subset, mode, 1) == expected
+            for subset in subsets_in_order(alg.size, nonempty=False):
+                for mode in ("induction", "deduction"):
+                    expected = iterate_afresh(alg, top, subset, mode)
+                    assert iterate(alg, top, subset, mode) == expected
+                    expected = iterate_afresh(alg, top, subset, mode, 1)
+                    assert iterate(alg, top, subset, mode, 1) == expected
             for subset in subsets_in_order(alg.size, nonempty=False):
                 assert iterate(alg, top, subset, "deduction") == \
                     iterate_afresh(alg, top, subset, "deduction")
 
-    def test_iterate_keeps_only_inside_the_block(self):
+    def test_one_kept_closures_per_algebra_object_and_top(self, monkeypatch):
+        # a second call on the same algebra object and top closes nothing
+        # new; an equal but distinct object, or another top, replaces the kept
+        # Closures, and a refused one leaves it in place
+        closes = []
+        close = closure._close
+        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         alg = by_name("sat3-monoid")
         subset = ElementSet.of(4, [3])
-        closures = Closures(alg, alg.top)
-        iterate(alg, alg.top, subset, "deduction")
-        assert closures._steps == ({}, {})
-        with closures:
-            with Closures(alg, alg.top) as inner:
-                iterate(alg, alg.top, subset, "deduction")
-            assert closures._steps == ({}, {}) and inner._steps[0]
-            iterate(alg, (alg.top + 1) % 4, subset, "deduction")  # another top
-            iterate(by_name("z4-monoid"), alg.top, subset, "deduction")  # another algebra
-            assert closures._steps == ({}, {})
-            report = iterate(alg, alg.top, subset, "deduction")
-            assert set(closures._steps[0]) == {s.mask for s in report.chain}
-        kept = dict(closures._steps[0])
-        iterate(alg, alg.top, ElementSet.of(4, [2]), "deduction")
-        assert closures._steps[0] == kept
+        report = iterate(alg, alg.top, subset, "deduction")
+        kept = closure._kept[0]
+        assert kept.algebra is alg and kept.top == alg.top and closes
+        assert set(kept._steps[0]) == {s.mask for s in report.chain}
+        closes.clear()
+        assert iterate(alg, alg.top, subset, "deduction") == report
+        for op in (top_induction, top_deduction, clot_closure, is_top_normal):
+            op(alg, alg.top, subset)
+        assert closure._kept[0] is kept and not closes
+        with pytest.raises(ValueOutOfRange):
+            top_induction(alg, 4, subset)
+        with pytest.raises(SizeOverflow):
+            top_induction(make_algebra([("point", 0)], 65, {"point": [0]}, top=0), 0, subset)
+        assert closure._kept[0] is kept
+        twin = dataclasses.replace(alg)
+        for other, top in ((twin, alg.top), (alg, (alg.top + 1) % 4), (alg, alg.top)):
+            closes.clear()
+            assert iterate(other, top, subset, "deduction").chain[0] == subset
+            assert closure._kept[0] is not kept and closes
+            kept = closure._kept[0]
+            assert kept.algebra is other and kept.top == top
+
+    def test_threads_sharing_the_kept_closures_get_the_reference(self):
+        # every thread reads and replaces the one slot; a Closures only stores
+        # values that are the same whoever computes them, so threads that
+        # interleave on shared algebra objects, equal copies and other tops
+        # must all get the reference images
+        cases = []
+        for entry in build_catalog(4):
+            alg = entry.algebra
+            for top in {alg.top, (alg.top + 1) % alg.size}:
+                for mask in range(1 << alg.size):
+                    rel, subset = induced(alg, top, mask), ElementSet(alg.size, mask)
+                    cases.append((alg, top, subset,
+                                  (left_image(rel, subset), right_image(rel, subset))))
+        wrong, errors = [], []
+
+        def work(seed):
+            try:
+                rng = random.Random(seed)
+                for alg, top, subset, expected in rng.sample(cases, len(cases)):
+                    if rng.random() < 0.5:
+                        alg = dataclasses.replace(alg)
+                    got = (top_induction(alg, top, subset), top_deduction(alg, top, subset))
+                    if got != expected:
+                        wrong.append((alg, top, subset))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not wrong, (errors, wrong[:3])
+
+    def test_reimports_keep_at_most_one_closures_alive(self):
+        # a process that imports finalg afresh again and again, as a harness
+        # that reloads it between passes does, must not pile up kept caches
+        script = (
+            "import gc, sys\n"
+            "for _ in range(3):\n"
+            "    import finalg\n"
+            "    finalg.run_suite('rank0')\n"
+            "    del finalg\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'finalg']:\n"
+            "        del sys.modules[name]\n"
+            "    gc.collect()\n"
+            "print(sum(type(o).__name__ == 'Closures' for o in gc.get_objects()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(closure.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1
 
     def test_steps_are_the_images_of_the_relation(self):
         alg = by_name("sat3-monoid")
@@ -173,45 +249,46 @@ class TestClosuresCache:
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         with pytest.raises(SizeOverflow):
             Closures(big, 0)
-        with Closures(alg, 0):
-            with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\) outside carrier of size 4"):
-                iterate(alg, 0, ElementSet.of(6, [1, 5]), "induction")
-            with pytest.raises(SizeMismatch, match="target set over a different carrier"):
-                iterate(alg, 0, ElementSet.of(3, [1]), "induction")
-            with pytest.raises(SizeMismatch, match="source set over a different carrier"):
-                iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
-            assert iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0).chain == \
-                (ElementSet.of(5, [1]),)
-        # the single-shot operators, outside any block and inside one, refuse
-        # as they did when each closed R_I from the diagonal
+        with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\) outside carrier of size 4"):
+            iterate(alg, 0, ElementSet.of(6, [1, 5]), "induction")
+        with pytest.raises(SizeMismatch, match="target set over a different carrier"):
+            iterate(alg, 0, ElementSet.of(3, [1]), "induction")
+        with pytest.raises(SizeMismatch, match="source set over a different carrier"):
+            iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
+        assert iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0).chain == \
+            (ElementSet.of(5, [1]),)
+        # the single-shot operators, with another algebra's Closures kept and
+        # with this one's, refuse as they did when each closed R_I from the
+        # diagonal
         one = ElementSet.of(4, [1])
         clot, normal = clot_closure(alg, 0, one), is_top_normal(alg, 0, one)
-        for block in (nullcontext(), Closures(alg, 0)):
-            with block:
-                for op in (top_induction, top_deduction, clot_closure, is_top_normal):
-                    with pytest.raises(ValueOutOfRange,
-                                       match=r"^top element 4 outside carrier of size 4$"):
-                        op(alg, 4, one)
-                    with pytest.raises(ValueOutOfRange,
-                                       match=r"^pair \(5,0\) outside carrier of size 4$"):
-                        op(alg, 0, ElementSet.of(6, [1, 5]))
-                    with pytest.raises(SizeOverflow,
-                                       match=r"^squared carrier 4225 exceeds limit 4096$"):
-                        op(big, 0, ElementSet.of(65, [1]))
-                for other in (ElementSet.of(3, [1]), ElementSet.of(5, [1])):
-                    with pytest.raises(SizeMismatch,
-                                       match=r"^target set over a different carrier$"):
-                        top_induction(alg, 0, other)
-                    with pytest.raises(SizeMismatch,
-                                       match=r"^source set over a different carrier$"):
-                        top_deduction(alg, 0, other)
-                    assert clot_closure(alg, 0, other) == clot
-                    assert is_top_normal(alg, 0, other) == (False, normal.top_class)
+        for kept in (by_name("z4-group"), alg):
+            for op in (top_induction, top_deduction, clot_closure, is_top_normal):
+                clot_closure(kept, 0, one)
+                with pytest.raises(ValueOutOfRange,
+                                   match=r"^top element 4 outside carrier of size 4$"):
+                    op(alg, 4, one)
+                with pytest.raises(ValueOutOfRange,
+                                   match=r"^pair \(5,0\) outside carrier of size 4$"):
+                    op(alg, 0, ElementSet.of(6, [1, 5]))
+                with pytest.raises(SizeOverflow,
+                                   match=r"^squared carrier 4225 exceeds limit 4096$"):
+                    op(big, 0, ElementSet.of(65, [1]))
+            for other in (ElementSet.of(3, [1]), ElementSet.of(5, [1])):
+                clot_closure(kept, 0, one)
+                with pytest.raises(SizeMismatch,
+                                   match=r"^target set over a different carrier$"):
+                    top_induction(alg, 0, other)
+                with pytest.raises(SizeMismatch,
+                                   match=r"^source set over a different carrier$"):
+                    top_deduction(alg, 0, other)
+                assert clot_closure(alg, 0, other) == clot
+                assert is_top_normal(alg, 0, other) == (False, normal.top_class)
 
     def test_single_shot_operators_equal_the_reference(self):
-        # every mask, outside any block, inside the entry's block after random
-        # other masks were kept, and inside blocks that must not be used: one
-        # for an equal but distinct algebra object, one for another top
+        # every mask through the kept Closures after random other masks were
+        # kept, then every mask again right after a call on an equal but
+        # distinct algebra object or on another top, which replaced it
         rng = random.Random(7)
         for entry in build_catalog(5):
             alg, top = entry.algebra, entry.algebra.top
@@ -226,25 +303,28 @@ class TestClosuresCache:
                 assert cls == left_image(cong, top_set), (entry.name, mask)
                 expected[mask] = (left_image(rel, subset), right_image(rel, subset),
                                   left_image(rel, top_set), (subset == cls, cls))
-            own = Closures(alg, top)
+
+            def single_shots(mask):
+                subset = ElementSet(n, mask)
+                return (top_induction(alg, top, subset), top_deduction(alg, top, subset),
+                        clot_closure(alg, top, subset), is_top_normal(alg, top, subset))
+
             for mask in rng.sample(sorted(expected), min(6, len(expected))):
-                own.relation(mask)
-                own._step(rng.choice(("induction", "deduction")), mask, None)
-            foreign = [Closures(dataclasses.replace(alg), top)]
-            if n > 1:
-                foreign.append(Closures(alg, (top + 1) % n))
+                rng.choice((top_induction, top_deduction))(alg, top, ElementSet(n, mask))
+            kept = closure._kept[0]
             masks = rng.sample(sorted(expected), len(expected))
-            for block, some in [(nullcontext(), masks), (own, masks)] + \
-                    [(block, masks[:8]) for block in foreign]:
-                with block:
-                    for mask in some:
-                        subset = ElementSet(n, mask)
-                        got = (top_induction(alg, top, subset), top_deduction(alg, top, subset),
-                               clot_closure(alg, top, subset), is_top_normal(alg, top, subset))
-                        assert got == expected[mask], (entry.name, mask, block)
-            for block in foreign:
-                assert list(block._rows) == [0] and block._steps == ({}, {}), entry.name
-            assert len(own._rows) == 1 << n, entry.name
+            for mask in masks:
+                assert single_shots(mask) == expected[mask], (entry.name, mask)
+            assert closure._kept[0] is kept and len(kept._rows) == 1 << n, entry.name
+            others = [(dataclasses.replace(alg), top)]
+            if n > 1:
+                others.append((alg, (top + 1) % n))
+            for i, mask in enumerate(masks):
+                other, other_top = others[i % len(others)]
+                clot_closure(other, other_top, ElementSet(n, mask))
+                assert closure._kept[0].algebra is other and closure._kept[0].top == other_top
+                assert single_shots(mask) == expected[mask], (entry.name, mask, other_top)
+                assert closure._kept[0].algebra is alg and closure._kept[0] is not kept
 
 
 class TestCongruence:
@@ -359,6 +439,12 @@ class TestIterate:
         assert report.chain == (subset,)
         with pytest.raises(ValueOutOfRange):
             report.stage(3)
+
+    def test_negative_budget_is_refused(self):
+        alg = by_name("z3-monoid")
+        for max_steps in (-1, -2):
+            with pytest.raises(ValueOutOfRange, match=rf"^max_steps {max_steps} is negative$"):
+                iterate(alg, 0, ElementSet.of(3, [1]), "induction", max_steps)
 
     def test_negative_stage_is_refused(self):
         # a negative index must not count from the end of the chain

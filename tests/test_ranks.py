@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finalg import ElementSet, algebra_rank, build_catalog, make_algebra, subsets_in_order
-from finalg.errors import CarrierTooLarge
+from finalg.errors import CarrierTooLarge, ValueOutOfRange
 from references import rank_by_iteration
 
 
@@ -82,6 +82,12 @@ class TestAlgebraRank:
         assert result.rank is None
         assert result.describe() == "exceeded 0"
         assert set(result.witness) == {1}
+
+    def test_negative_budget_is_refused(self):
+        alg = by_name("z4-group")
+        for max_n in (-1, -2):
+            with pytest.raises(ValueOutOfRange, match=rf"^max_n {max_n} is negative$"):
+                algebra_rank(alg, 0, "induction", max_n=max_n)
 
     def test_describe_plain_rank(self):
         assert algebra_rank(by_name("pointed-3"), 0, "induction").describe() == "0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from finalg import SUITE_NAMES, run_suite
+from finalg import SUITE_NAMES, closure, run_suite
 from finalg.errors import UnknownSuite
 
 PASSING_SUITES = (
@@ -64,6 +64,20 @@ class TestSuiteRuns:
         report = run_suite("nat-chain", primes=(2, 3, 5), depth=2)
         assert report.passed
         assert report.cases == 5  # seed check + two stages with two checks each
+
+
+class TestKernelRuns:
+    # every nonempty set of every entry closes its R_I once, for the suite's
+    # own checks and its ranks together; maltsev also closes its 603 pair sets
+    @pytest.mark.parametrize("name, runs", [
+        ("subtractive", 78), ("jonsson-tarski", 78), ("maltsev", 681), ("rank0", 25),
+    ])
+    def test_kernel_runs_per_suite(self, name, runs, monkeypatch):
+        closes = []
+        close = closure._close
+        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
+        run_suite(name)
+        assert len(closes) == runs
 
 
 class TestTheoremBSuite:
