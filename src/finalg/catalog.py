@@ -1,11 +1,12 @@
 """Deterministic catalog of small named algebras used by the verification
 suites. Every entry fixes a top element and tags the symbols the per-variety
-oracles need."""
+oracles need. Each family has one constructor; the public builders name its
+members."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, Signature, make_algebra
+from .algebra import FiniteAlgebra, make_algebra
 from .errors import ValueOutOfRange
 
 
@@ -29,37 +30,29 @@ def _ternary(n: int, fn) -> tuple[int, ...]:
     return tuple(fn(a, b, c) for a in range(n) for b in range(n) for c in range(n))
 
 
+def _entry(name: str, kind: str, n: int, symbols, tables: dict, top: int, **tags) -> CatalogEntry:
+    """One entry: `symbols` lists (name, arity) in signature order, `tags`
+    are the `CatalogEntry` symbol fields."""
+    return CatalogEntry(name, make_algebra(symbols, n, tables, top=top), kind, **tags)
+
+
+def _monoid(name: str, n: int, add) -> CatalogEntry:
+    """Commutative monoid on 0..n-1 with identity 0."""
+    return _entry(
+        name, "monoid", n, (("add", 2), ("zero", 0)), {"add": _binary(n, add), "zero": [0]}, 0,
+        monoid_symbols=("add", "zero"), jonsson_tarski_symbol="add",
+    )
+
+
 def cyclic_monoid(n: int) -> CatalogEntry:
-    alg = make_algebra(
-        Signature.of(("add", 2), ("zero", 0)),
-        n,
-        {"add": _binary(n, lambda a, b: (a + b) % n), "zero": [0]},
-        top=0,
-    )
-    return CatalogEntry(
-        f"z{n}-monoid",
-        alg,
-        "monoid",
-        monoid_symbols=("add", "zero"),
-        jonsson_tarski_symbol="add",
-    )
+    return _monoid(f"z{n}-monoid", n, lambda a, b: (a + b) % n)
 
 
 def saturating_monoid(cap: int) -> CatalogEntry:
-    n = cap + 1
-    alg = make_algebra(
-        Signature.of(("add", 2), ("zero", 0)),
-        n,
-        {"add": _binary(n, lambda a, b: min(a + b, cap)), "zero": [0]},
-        top=0,
-    )
-    return CatalogEntry(
-        f"sat{cap}-monoid",
-        alg,
-        "monoid",
-        monoid_symbols=("add", "zero"),
-        jonsson_tarski_symbol="add",
-    )
+    return _monoid(f"sat{cap}-monoid", cap + 1, lambda a, b: min(a + b, cap))
+
+
+_GROUP_SYMBOLS = (("add", 2), ("neg", 1), ("sub", 2), ("mal", 3))
 
 
 def _group_tables(n: int) -> dict:
@@ -72,144 +65,66 @@ def _group_tables(n: int) -> dict:
     }
 
 
+def _abelian(kind: str, n: int, symbols, extra: dict) -> CatalogEntry:
+    """Z_n as an abelian group with the Mal'cev term a - b + c, plus the ops
+    in `extra`; `symbols` lists every op in signature order."""
+    return _entry(
+        f"z{n}-{kind}", kind, n, symbols, _group_tables(n) | extra, 0,
+        maltsev_symbol="mal", subtractive_symbol="sub", jonsson_tarski_symbol="add",
+    )
+
+
 def cyclic_group(n: int) -> CatalogEntry:
-    alg = make_algebra(
-        Signature.of(("add", 2), ("neg", 1), ("sub", 2), ("mal", 3), ("zero", 0)),
-        n,
-        _group_tables(n),
-        top=0,
-    )
-    return CatalogEntry(
-        f"z{n}-group",
-        alg,
-        "group",
-        maltsev_symbol="mal",
-        subtractive_symbol="sub",
-        jonsson_tarski_symbol="add",
-    )
+    return _abelian("group", n, _GROUP_SYMBOLS + (("zero", 0),), {})
 
 
 def cyclic_ring(n: int) -> CatalogEntry:
-    tables = _group_tables(n)
-    tables["mul"] = _binary(n, lambda a, b: (a * b) % n)
-    tables["one"] = [1 % n]
-    alg = make_algebra(
-        Signature.of(
-            ("add", 2), ("neg", 1), ("sub", 2), ("mal", 3),
-            ("mul", 2), ("zero", 0), ("one", 0),
-        ),
-        n,
-        tables,
-        top=0,
-    )
-    return CatalogEntry(
-        f"z{n}-ring",
-        alg,
-        "ring",
-        maltsev_symbol="mal",
-        subtractive_symbol="sub",
-        jonsson_tarski_symbol="add",
-    )
-
-
-def cyclic_semiring(n: int) -> CatalogEntry:
-    alg = make_algebra(
-        Signature.of(("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
-        n,
-        {
-            "add": _binary(n, lambda a, b: (a + b) % n),
-            "mul": _binary(n, lambda a, b: (a * b) % n),
-            "zero": [0],
-            "one": [1 % n],
-        },
-        top=0,
-    )
-    return CatalogEntry(
-        f"z{n}-semiring",
-        alg,
-        "semiring",
-        semiring_symbols=("add", "mul", "zero", "one"),
-        jonsson_tarski_symbol="add",
-    )
-
-
-def boolean_semiring() -> CatalogEntry:
-    alg = make_algebra(
-        Signature.of(("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
-        2,
-        {
-            "add": _binary(2, lambda a, b: a | b),
-            "mul": _binary(2, lambda a, b: a & b),
-            "zero": [0],
-            "one": [1],
-        },
-        top=0,
-    )
-    return CatalogEntry(
-        "bool-semiring",
-        alg,
-        "semiring",
-        semiring_symbols=("add", "mul", "zero", "one"),
-        jonsson_tarski_symbol="add",
-    )
-
-
-def minplus_semiring(cap: int) -> CatalogEntry:
-    """Truncated min-plus semiring on {0..cap, inf}: addition is min with
-    identity inf (encoded as index cap+1), multiplication is capped numeral
-    addition with inf absorbing."""
-    n = cap + 2
-    inf = cap + 1
-
-    def add(a: int, b: int) -> int:
-        if a == inf:
-            return b
-        if b == inf:
-            return a
-        return min(a, b)
-
-    def mul(a: int, b: int) -> int:
-        if a == inf or b == inf:
-            return inf
-        return min(a + b, cap)
-
-    alg = make_algebra(
-        Signature.of(("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
-        n,
-        {"add": _binary(n, add), "mul": _binary(n, mul), "zero": [inf], "one": [0]},
-        top=inf,
-    )
-    return CatalogEntry(
-        f"minplus{cap}-semiring",
-        alg,
-        "semiring",
-        semiring_symbols=("add", "mul", "zero", "one"),
-        jonsson_tarski_symbol="add",
-    )
+    symbols = _GROUP_SYMBOLS + (("mul", 2), ("zero", 0), ("one", 0))
+    tables = {"mul": _binary(n, lambda a, b: (a * b) % n), "one": [1 % n]}
+    return _abelian("ring", n, symbols, tables)
 
 
 def cyclic_module(n: int) -> CatalogEntry:
     """Z_n acting on itself: abelian group plus one unary scalar map per ring
     element."""
-    tables = _group_tables(n)
-    symbols = [("add", 2), ("neg", 1), ("sub", 2), ("mal", 3), ("zero", 0)]
-    for r in range(n):
-        symbols.append((f"r{r}", 1))
-        tables[f"r{r}"] = tuple(r * a % n for a in range(n))
-    alg = make_algebra(Signature.of(*symbols), n, tables, top=0)
-    return CatalogEntry(
-        f"z{n}-module",
-        alg,
-        "module",
-        maltsev_symbol="mal",
-        subtractive_symbol="sub",
-        jonsson_tarski_symbol="add",
+    scalars = {f"r{r}": tuple(r * a % n for a in range(n)) for r in range(n)}
+    symbols = _GROUP_SYMBOLS + (("zero", 0),) + tuple((s, 1) for s in scalars)
+    return _abelian("module", n, symbols, scalars)
+
+
+def _semiring(name: str, n: int, add, mul, zero: int, one: int) -> CatalogEntry:
+    """Semiring on 0..n-1 with top `zero`, the additive identity."""
+    return _entry(
+        name, "semiring", n, (("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
+        {"add": _binary(n, add), "mul": _binary(n, mul), "zero": [zero], "one": [one]}, zero,
+        semiring_symbols=("add", "mul", "zero", "one"), jonsson_tarski_symbol="add",
     )
 
 
+def cyclic_semiring(n: int) -> CatalogEntry:
+    return _semiring(
+        f"z{n}-semiring", n, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n, 0, 1 % n
+    )
+
+
+def boolean_semiring() -> CatalogEntry:
+    return _semiring("bool-semiring", 2, lambda a, b: a | b, lambda a, b: a & b, 0, 1)
+
+
+def minplus_semiring(cap: int) -> CatalogEntry:
+    """Truncated min-plus semiring on {0..cap, inf}: addition is min with
+    identity inf (encoded as index cap+1, the largest), multiplication is
+    capped numeral addition with inf absorbing."""
+    inf = cap + 1
+
+    def mul(a: int, b: int) -> int:
+        return inf if inf in (a, b) else min(a + b, cap)
+
+    return _semiring(f"minplus{cap}-semiring", cap + 2, min, mul, inf, 0)
+
+
 def pointed_set(n: int) -> CatalogEntry:
-    alg = make_algebra(Signature.of(("point", 0)), n, {"point": [0]}, top=0)
-    return CatalogEntry(f"pointed-{n}", alg, "pointed")
+    return _entry(f"pointed-{n}", "pointed", n, (("point", 0),), {"point": [0]}, 0)
 
 
 def build_catalog(limit: int) -> list[CatalogEntry]:

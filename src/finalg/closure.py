@@ -120,10 +120,14 @@ def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tupl
     seen before, those in R x..x R x delta x old x..x old with the delta at
     some position i (old = R without delta). The image of a row over the last
     coordinate comes from the translation tables; within a round it is
-    computed once per prefix and reused by every argument tuple."""
+    computed once per prefix and reused by every argument tuple.
+
+    As `base` is reflexive, every row keeps its diagonal bit, and that bit is
+    never in a delta. So old is nonempty in every row, and old positions
+    range over all of A; delta is nonempty in every round that runs."""
     n = algebra.size
     delta = [r & ~b for r, b in zip(rows, base)]
-    if n == 1 or not any(delta):
+    if not any(delta):
         return tuple(rows)
     unary, wider = _translation_tables(algebra)
     if not unary and not wider:  # constants only: the diagonal holds them
@@ -133,13 +137,12 @@ def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tupl
     row_bits = [list(_bits(b)) for b in base]
     while True:
         dirty = [a for a in everything if delta[a]]
-        aged = [a for a in everything if rows[a] != delta[a]]
         delta_bits = {a: list(_bits(delta[a])) for a in dirty}
         old_bits, row_bits = row_bits, list(row_bits)
         for a in dirty:
             row_bits[a] = list(_bits(rows[a]))
         lasts = (
-            (aged, _chunk_keys([rows[a] ^ delta[a] for a in aged], n)),
+            (everything, _chunk_keys([r ^ d for r, d in zip(rows, delta)], n)),
             (dirty, _chunk_keys([delta[a] for a in dirty], n)),
         )
         gained = [0] * n
@@ -153,11 +156,9 @@ def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tupl
                 # later ones over old; the last coordinate is delta or old
                 last_is_delta = pos == arity - 1
                 last, keys = lasts[last_is_delta]
-                if not last:
-                    continue
                 images_of = cached[last_is_delta]
                 pools = [(everything, row_bits)] * pos + [(dirty, delta_bits)]
-                pools += [(aged, old_bits)] * (arity - 1 - pos)
+                pools += [(everything, old_bits)] * (arity - 1 - pos)
                 prefixes = [(0, [0])]
                 for pool, bits in pools[:arity - 1]:
                     prefixes = [(index * n + a, [c * n + b for c in codes for b in bits[a]])
@@ -312,8 +313,9 @@ def _closures_for(
 ) -> Closures:
     """The kept `Closures` if it is for this algebra object and top, else a
     fresh one, kept in its place once built. A set with a member outside the
-    carrier is refused as the kernel refuses its pairs; with side "left" or
-    "right", so is a set over another carrier, as that image refuses it."""
+    carrier is refused as the kernel refuses its pairs. Unless side is None,
+    so is a set over another carrier: with side "left" or "right" as that
+    image refuses it, with side "set" as a set."""
     closures = _kept[0]
     if closures is None or closures.algebra is not algebra or closures.top != top:
         closures = _kept[0] = Closures(algebra, top)
@@ -340,7 +342,7 @@ def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> Eleme
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """Smallest set containing `subset` that is the left class of top under
     its own generated relation; the empty set yields {top}."""
-    rows = _closures_for(algebra, top, subset, None)._rows_of(subset.mask)
+    rows = _closures_for(algebra, top, subset, "set")._rows_of(subset.mask)
     return ElementSet(algebra.size, _left_mask(rows, 1 << top))
 
 
@@ -388,31 +390,21 @@ def is_top_normal(
     """Whether `subset` is exactly the congruence class of top under the
     congruence generated by subset x {top}. The empty set is never normal:
     the class of top contains top."""
-    closures = _closures_for(algebra, top, subset, None)
+    closures = _closures_for(algebra, top, subset, "set")
     cong = _congruence_of(closures.relation(subset.mask))
     cls = ElementSet(algebra.size, _left_mask(cong.rows, 1 << top))
     return NormalityResult(subset == cls, cls)
 
 
-def relation_power_images(
-    rel: BinRel, subset: ElementSet, count: int, side: Literal["left", "right"]
+def power_images(
+    rel: BinRel, subset: ElementSet, side: Literal["left", "right"]
 ) -> list[ElementSet]:
-    """[subset, R subset, R^2 subset, ...] (left) or the right-image duals."""
+    """[subset, R subset, R^2 subset, ...] (left) or the right-image duals, up
+    to the first set that repeats an earlier one, which is left out. For a
+    reflexive R the chain increases, so its last set is the union of all the
+    powers."""
     image = left_image if side == "left" else right_image
     out = [subset]
-    for _ in range(count):
-        out.append(image(rel, out[-1]))
+    while (nxt := image(rel, out[-1])) not in out:
+        out.append(nxt)
     return out
-
-
-def union_of_power_images(
-    rel: BinRel, subset: ElementSet, side: Literal["left", "right"]
-) -> ElementSet:
-    """Union of subset, R subset, R^2 subset, ... (or the right-image duals)."""
-    image = left_image if side == "left" else right_image
-    acc = subset
-    while True:
-        nxt = acc | image(rel, acc)
-        if nxt == acc:
-            return acc
-        acc = nxt

@@ -88,13 +88,21 @@ class _Parser:
             raise ParseError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    def integer(self, what: str) -> _Token:
+    def integer(self, what: str) -> tuple[int, _Token]:
         tok = self.take()
         try:
-            int(tok.text)
+            return int(tok.text), tok
         except ValueError:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col) from None
-        return tok
+
+    def element(self, what: str, label: str, size: int) -> int:
+        """An integer that must name an element of a carrier of this size."""
+        value, tok = self.integer(what)
+        if not 0 <= value < size:
+            raise ValueOutOfRange(
+                f"{label} {value} outside carrier of size {size}", tok.line, tok.col
+            )
+        return value
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
@@ -103,8 +111,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     p.expect("algebra")
     name = p.name("algebra name")
     p.expect("size")
-    size_tok = p.integer("carrier size")
-    size = int(size_tok.text)
+    size, size_tok = p.integer("carrier size")
     if size < 1:
         raise ParseError("carrier size must be at least 1", size_tok.line, size_tok.col)
     symbols: list[tuple[str, int]] = []
@@ -120,41 +127,20 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         if word == "op":
             p.take()
             op_name = p.name("operation name")
-            arity_tok = p.integer("arity")
-            arity = int(arity_tok.text)
+            arity, arity_tok = p.integer("arity")
             if arity < 0:
                 raise ParseError("arity must be non-negative", arity_tok.line, arity_tok.col)
-            entries = []
-            for _ in range(size**arity):
-                tok = p.integer("table entry")
-                value = int(tok.text)
-                if not 0 <= value < size:
-                    raise ValueOutOfRange(
-                        f"table entry {value} outside carrier of size {size}",
-                        tok.line, tok.col,
-                    )
-                entries.append(value)
             symbols.append((op_name, arity))
-            tables[op_name] = entries
+            tables[op_name] = [p.element("table entry", "table entry", size)
+                               for _ in range(size**arity)]
         elif word == "const":
             p.take()
             const_name = p.name("constant name")
-            tok = p.integer("constant value")
-            value = int(tok.text)
-            if not 0 <= value < size:
-                raise ValueOutOfRange(
-                    f"constant {value} outside carrier of size {size}", tok.line, tok.col
-                )
             symbols.append((const_name, 0))
-            tables[const_name] = [value]
+            tables[const_name] = [p.element("constant value", "constant", size)]
         elif word == "top":
             tok_kw = p.take()
-            tok = p.integer("top element")
-            value = int(tok.text)
-            if not 0 <= value < size:
-                raise ValueOutOfRange(
-                    f"top element {value} outside carrier of size {size}", tok.line, tok.col
-                )
+            value = p.element("top element", "top element", size)
             if top is not None:
                 raise ParseError("top declared twice", tok_kw.line, tok_kw.col)
             top = value

@@ -132,10 +132,11 @@ def right_image(rel: BinRel, sources: ElementSet) -> ElementSet:
 
 
 def _check_image_carrier(size: int, subset: ElementSet, side: str) -> None:
-    """Refuse to take the left or right image of a set over another carrier."""
+    """Refuse a set over another carrier: as the target of a left image, the
+    source of a right image, or, with any other side, as a set."""
     if subset.size != size:
-        role = "target" if side == "left" else "source"
-        raise SizeMismatch(f"{role} set over a different carrier")
+        role = {"left": "target ", "right": "source "}.get(side, "")
+        raise SizeMismatch(f"{role}set over a different carrier")
 
 
 def _left_mask(rows: tuple[int, ...], targets: int) -> int:

@@ -31,7 +31,7 @@ from finalg import (
     top_induction,
 )
 from finalg import closure
-from finalg.closure import Closures, relation_power_images, union_of_power_images
+from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
 from references import induced, iterate_afresh
@@ -261,7 +261,6 @@ class TestClosuresCache:
         # with this one's, refuse as they did when each closed R_I from the
         # diagonal
         one = ElementSet.of(4, [1])
-        clot, normal = clot_closure(alg, 0, one), is_top_normal(alg, 0, one)
         for kept in (by_name("z4-group"), alg):
             for op in (top_induction, top_deduction, clot_closure, is_top_normal):
                 clot_closure(kept, 0, one)
@@ -282,8 +281,10 @@ class TestClosuresCache:
                 with pytest.raises(SizeMismatch,
                                    match=r"^source set over a different carrier$"):
                     top_deduction(alg, 0, other)
-                assert clot_closure(alg, 0, other) == clot
-                assert is_top_normal(alg, 0, other) == (False, normal.top_class)
+                for op in (clot_closure, is_top_normal):
+                    with pytest.raises(SizeMismatch,
+                                       match=r"^set over a different carrier$"):
+                        op(alg, 0, other)
 
     def test_single_shot_operators_equal_the_reference(self):
         # every mask through the kept Closures after random other masks were
@@ -480,6 +481,14 @@ class TestNormality:
         ok, cls = is_top_normal(by_name("z4-ring"), 0, ElementSet.of(4, [0, 2]))
         assert ok and set(cls) == {0, 2}
 
+    def test_set_over_another_carrier_is_refused(self):
+        # {0,2} over a 3-element carrier is not the class {0,2} of z4-ring;
+        # it is refused before any relation is closed
+        alg = by_name("z4-ring")
+        for op in (is_top_normal, clot_closure):
+            with pytest.raises(SizeMismatch, match=r"^set over a different carrier$"):
+                op(alg, 0, ElementSet.of(3, [0, 2]))
+
     def test_top_singleton_on_pointed_set(self):
         ok, cls = is_top_normal(by_name("pointed-3"), 0, ElementSet.of(3, [0]))
         assert ok and set(cls) == {0}
@@ -495,13 +504,14 @@ class TestNormality:
 class TestPowerImages:
     def test_relation_power_images(self):
         rel = BinRel.diagonal(3).union(BinRel.from_pairs(3, [(1, 0), (2, 1)]))
-        chain = relation_power_images(rel, ElementSet.of(3, [0]), 3, "left")
-        assert [set(s) for s in chain] == [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2}]
+        chain = power_images(rel, ElementSet.of(3, [0]), "left")
+        assert [set(s) for s in chain] == [{0}, {0, 1}, {0, 1, 2}]
+        assert [set(s) for s in power_images(rel, ElementSet.of(3, [0]), "right")] == [{0}]
 
-    def test_union_of_power_images(self):
-        rel = BinRel.diagonal(3).union(BinRel.from_pairs(3, [(1, 0), (2, 1)]))
-        assert set(union_of_power_images(rel, ElementSet.of(3, [0]), "left")) == {0, 1, 2}
-        assert set(union_of_power_images(rel, ElementSet.of(3, [0]), "right")) == {0}
+    def test_power_images_stop_on_a_cycle(self):
+        swap = BinRel.from_pairs(2, [(0, 1), (1, 0)])
+        chain = power_images(swap, ElementSet.of(2, [0]), "right")
+        assert [set(s) for s in chain] == [{0}, {1}]
 
 
 class TestCoverageEquivalence:

@@ -1,0 +1,82 @@
+"""Golden digests of the catalog and of every CLI subcommand.
+
+Each digest is the sha256 of what in-process `main` calls print (stdout,
+stderr and exit code per call) over a fixed sweep: every subset of every
+catalog algebra with n <= 4, rendered to a file, for the per-set commands;
+both rank modes per algebra; all verification suites at their default limit.
+A refactor that claims byte-identical output must leave every digest as it is.
+Every rank in that part of the catalog is at most 1, so each fixpoint digest
+equals its one-step digest.
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from finalg import SUITE_NAMES, build_catalog, render_algebra, subsets_in_order
+from finalg.cli import main
+
+CATALOG_DIGEST = "61b3a420186202442cbcc0d7bed1c2cca66c2cbb5acd0ae5e1cf28a745c35cbe"
+
+# subcommand -> (extra arguments per call, digest)
+PER_SET = {
+    "ind": (("--steps", "1"), "f819a6bbc6362305d9c066520118161b5958fee7ebf048a5cc5090daa3323440"),
+    "ind-fixpoint": (("--fixpoint",), "f819a6bbc6362305d9c066520118161b5958fee7ebf048a5cc5090daa3323440"),
+    "ded": (("--steps", "1"), "84cecfa4b0668f79b9698ef42493ffc632bdfe8932c38e227b0520597d11d6fd"),
+    "ded-fixpoint": (("--fixpoint",), "84cecfa4b0668f79b9698ef42493ffc632bdfe8932c38e227b0520597d11d6fd"),
+    "clot": ((), "91363545c9c41f8e8ce44176f8d26ed8b6d5ed9e8620593b1346fd3af39a7433"),
+    "normal": ((), "f561d8020ceb3f6ec28c26a47edeb265079b504d57ba049cb2f8fe2987ddd740"),
+    "semicong": ((), "70e6cd5bc1f90044b68cc07c87d3d6ed3c314521dff6e4c350b115456e1fdba0"),
+    "cong": ((), "3d694437d0c0180de2d589228cc60fdd5153d045eb8d6ab7a71935933da58204"),
+}
+RANK_DIGEST = "45fc8eec6131fc55e69f62850d190e07b7cd4f54b10cad4cc47d23188dceeced"
+VERIFY_DIGEST = "21b1914d7090f70cec8bf3f648e5fb3158ee8a70aae806d40a56eb8fccdb2c57"
+
+
+def _digest(calls) -> str:
+    h = hashlib.sha256()
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        h.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = []
+    for entry in build_catalog(4):
+        path = root / f"{entry.name}.ua"
+        path.write_text(render_algebra(entry.name, entry.algebra))
+        out.append((str(path), entry.algebra.size))
+    return out
+
+
+def test_catalog_digest():
+    assert hashlib.sha256(repr(build_catalog(8)).encode()).hexdigest() == CATALOG_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(PER_SET))
+def test_per_set_digest(files, name):
+    extra, expected = PER_SET[name]
+    command = name.split("-")[0]
+    calls = (
+        (command, path, "--set", ",".join(map(str, subset)) or "-", *extra)
+        for path, n in files
+        for subset in subsets_in_order(n, nonempty=False)
+    )
+    assert _digest(calls) == expected
+
+
+def test_rank_digest(files):
+    calls = (("rank", path, "--mode", mode) for path, _ in files for mode in ("ind", "ded"))
+    assert _digest(calls) == RANK_DIGEST
+
+
+def test_verify_digest():
+    assert _digest(("verify", "--suite", suite) for suite in SUITE_NAMES) == VERIFY_DIGEST
