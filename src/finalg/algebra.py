@@ -21,6 +21,7 @@ from .errors import (
 )
 
 DEFAULT_CARRIER_LIMIT = 4096
+ENUMERATION_LIMIT = 16  # largest carrier whose subsets are enumerated
 
 
 def _bits(mask: int) -> Iterator[int]:

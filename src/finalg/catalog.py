@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, make_algebra
+from .algebra import ENUMERATION_LIMIT, FiniteAlgebra, make_algebra
 from .errors import ValueOutOfRange
 
 
@@ -128,9 +128,12 @@ def pointed_set(n: int) -> CatalogEntry:
 
 
 def build_catalog(limit: int) -> list[CatalogEntry]:
-    """All catalog entries with carrier size <= limit, in a fixed order."""
+    """All catalog entries with carrier size <= limit, in a fixed order. As
+    every suite enumerates each carrier's subsets, limit <= ENUMERATION_LIMIT."""
     if limit < 2:
         raise ValueOutOfRange("catalog limit must be at least 2")
+    if limit > ENUMERATION_LIMIT:
+        raise ValueOutOfRange(f"catalog limit must be at most {ENUMERATION_LIMIT}")
     entries: list[CatalogEntry] = [
         cyclic_monoid(1),
         cyclic_group(1),

@@ -5,13 +5,14 @@ Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
 normality compares I against the congruence class of top. Each of them reads
-R_I from the one kept `Closures`, which keeps these relations for one algebra
-and top, keyed by the set, and grows each from a kept one.
+R_I from the one kept `Closures`, which keeps every semicongruence of one
+algebra, keyed by its generating pairs, and grows each from a kept one.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -36,7 +37,6 @@ _CHUNK_BITS = 8
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
-@lru_cache(maxsize=8)
 def _translation_tables(algebra: FiniteAlgebra) -> tuple[tuple, tuple]:
     """The kernel's lookup tables of an algebra: (unary, wider).
 
@@ -83,36 +83,22 @@ def _images(table: list[int], keys: list[list[int]]) -> list[int]:
     return out
 
 
-def _check_square(algebra: FiniteAlgebra) -> None:
-    n = algebra.size
-    if n * n > DEFAULT_CARRIER_LIMIT:
-        raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
-
-
-def _outside(a: int, b: int, n: int) -> ValueOutOfRange:
-    return ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
-
-
 def semicongruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
     """Smallest reflexive compatible relation containing the given pairs:
     the subalgebra of A x A generated by the pairs and the diagonal."""
-    _check_square(algebra)
-    n = algebra.size
-    diagonal = [1 << a for a in range(n)]
-    rows = list(diagonal)
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise _outside(a, b, n)
-        rows[a] |= 1 << b
-    return BinRel(n, _close(algebra, rows, diagonal))
+    closures = _closures(algebra)
+    seed = BinRel.from_pairs(algebra.size, pairs).support().mask
+    _kept[0] = closures
+    return BinRel(algebra.size, closures._rows_of(seed))
 
 
-def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
-    """Close `rows` (rows[a] is the mask of the b with a R b) under the ops,
-    given that `base`, row by row inside `rows`, is already reflexive and
-    compatible: the diagonal, or an R_J grown on.
+def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
+    """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
+    of the algebra of `closures`, given that `base`, row by row inside
+    `rows`, is already reflexive and compatible: the diagonal, or a kept
+    relation grown on.
 
     Semi-naive: delta[a] is the bits row a gained in the last round, and the
     first delta is rows minus base. For an op f of arity k, a round adds
@@ -125,11 +111,11 @@ def _close(algebra: FiniteAlgebra, rows: list[int], base: Sequence[int]) -> tupl
     As `base` is reflexive, every row keeps its diagonal bit, and that bit is
     never in a delta. So old is nonempty in every row, and old positions
     range over all of A; delta is nonempty in every round that runs."""
-    n = algebra.size
+    n = closures.algebra.size
     delta = [r & ~b for r, b in zip(rows, base)]
     if not any(delta):
         return tuple(rows)
-    unary, wider = _translation_tables(algebra)
+    unary, wider = closures._tables
     if not unary and not wider:  # constants only: the diagonal holds them
         return tuple(rows)
     everything = range(n)
@@ -183,15 +169,11 @@ def congruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
     """Smallest congruence containing the pairs: the congruence generated by
-    their semicongruence."""
-    return _congruence_of(semicongruence_generated(algebra, pairs))
-
-
-def _congruence_of(rel: BinRel) -> BinRel:
-    """Smallest congruence containing a semicongruence R: the union of the
-    alternating chain R, R~R, RR~R, ... (R~ the opposite of R). Reflexivity
-    makes the chain inclusion-increasing, so it stops when a full alternation
-    adds nothing."""
+    their semicongruence R, the union of the alternating chain R, R~R,
+    RR~R, ... (R~ the opposite of R). Reflexivity makes the chain
+    inclusion-increasing, so it stops when a full alternation adds
+    nothing."""
+    rel = semicongruence_generated(algebra, pairs)
     rev = opposite(rel)
     acc = rel
     while True:
@@ -237,113 +219,127 @@ class ClosureReport:
 
 
 class Closures:
-    """The relations R_I of one algebra and top, kept by the mask of I for
-    the life of the object, and the induction and deduction step of every
-    set asked for.
+    """The semicongruences of one algebra, kept by their seed for the life
+    of the object, and the induction and deduction step of every set and
+    top asked for. The seed is the support of the generating pairs, pair
+    (a, b) at bit a * n + b; R_I is the entry for the seed I x {top}.
 
-    R_I is monotone in I, so a missing R_T is grown from a kept R_J with
-    J inside T: the kernel starts from R_J plus T x {top} and only the pairs
-    new to R_J form its first delta. J is the stage `iterate` steps on from,
-    else T without its highest element; with neither kept, R_T is closed
-    from the diagonal.
+    The relation is monotone in its seed, so a missing R_T is grown from a
+    kept R_J with J inside T: the kernel starts from R_J plus the pairs of T
+    and only the pairs new to R_J form its first delta. J is the stage
+    `iterate` steps on from, else T without its highest seed bit (for R_I,
+    its highest element); with neither kept, R_T is closed from the
+    diagonal.
 
-    The module keeps one `Closures`: the last one the operators built. Every
-    `iterate`, `top_induction`, `top_deduction`, `clot_closure`,
-    `is_top_normal` and `algebra_rank` call on the same algebra object and
-    top reads R_I from it; a call on another algebra object or top replaces
-    it. Until then it stays alive: after a rank it holds the rank's whole
-    working set (about 8 MB for z14-monoid). Peak memory does not grow, as
-    the rank held that set while it ran. Threads share the slot without a
-    lock: a `Closures` only stores values that are the same whoever computes
-    them."""
+    The module keeps one `Closures`: the last one its functions built. Every
+    call of theirs on the same algebra object reads its relations from it,
+    whatever the top; a call on another algebra object replaces it. Until
+    then it stays alive: after a rank it holds the rank's whole working set
+    (about 8 MB for z14-monoid). Peak memory does not grow, as the rank held
+    that set while it ran. Threads share the slot without a lock: a
+    `Closures` only stores values that are the same whoever computes them."""
 
-    def __init__(self, algebra: FiniteAlgebra, top: int) -> None:
-        _check_top(algebra, top)
-        _check_square(algebra)
+    def __init__(self, algebra: FiniteAlgebra) -> None:
+        n = algebra.size
+        if n * n > DEFAULT_CARRIER_LIMIT:
+            raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
         self.algebra = algebra
-        self.top = top
-        self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(algebra.size))}
-        # one mask -> mask map per mode: (deduction, induction)
-        self._steps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
+        # one mask -> mask map per (mode, top)
+        self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
 
-    def _rows_of(self, mask: int, base: int | None = None) -> tuple[int, ...]:
-        """Rows of R_mask, grown from R_base when that is kept and base lies
-        inside mask."""
-        got = self._rows.get(mask)
+    @cached_property
+    def _tables(self) -> tuple[tuple, tuple]:
+        """The kernel's translation tables, built on its first run."""
+        return _translation_tables(self.algebra)
+
+    def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
+        """Rows of the semicongruence generated by the pairs in `seed`, grown
+        from the one of `base` when that is kept, nonempty and inside seed."""
+        got = self._rows.get(seed)
         if got is not None:
             return got
-        if mask < 0 or mask >> self.algebra.size:
-            raise ValueOutOfRange("bitmask exceeds carrier size")
-        start = self._rows.get(base) if base is not None and base & ~mask == 0 else None
+        start = self._rows.get(base) if base and base & ~seed == 0 else None
         if start is None:
-            start = self._rows.get(mask ^ 1 << (mask.bit_length() - 1), self._rows[0])
+            start = self._rows.get(seed ^ 1 << (seed.bit_length() - 1), self._rows[0])
         rows = list(start)
-        bit = 1 << self.top
-        for x in _bits(mask):
-            rows[x] |= bit
-        got = self._rows[mask] = _close(self.algebra, rows, start)
+        n = self.algebra.size
+        for code in _bits(seed):
+            a, b = divmod(code, n)
+            rows[a] |= 1 << b
+        got = self._rows[seed] = _close(self, rows, start)
         return got
 
-    def relation(self, mask: int) -> BinRel:
-        """R_I for the set I with this mask."""
-        return BinRel(self.algebra.size, self._rows_of(mask))
-
-    def _step(self, mode: Mode, mask: int, base: int | None) -> int:
+    def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
         mask: the left or right image of I under R_I, with R_I grown from
-        R_base if that is kept."""
-        memo = self._steps[mode == "induction"]
+        R_base if that is kept. Masks become seeds only here, on a miss."""
+        memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
-            rows = self._rows_of(mask, base)
+            n = self.algebra.size
+            _check_top(self.algebra, top)
+            if mask < 0 or mask >> n:
+                raise ValueOutOfRange("bitmask exceeds carrier size")
+            seed, base = (sum(1 << (x * n + top) for x in _bits(m)) for m in (mask, base))
+            rows = self._rows_of(seed, base)
             image = _left_mask if mode == "induction" else _right_mask
             got = memo[mask] = image(rows, mask)
         return got
 
 
-# one slot: the last Closures the operators built. Its own reference keeps
-# the id of its algebra from being reused by another object. The slot is a
-# one-element list, so filling it rebinds no module attribute: tools that
-# patch and restore the module's attributes compare them by identity.
+# one slot: the last Closures the module's functions built. Its own reference
+# keeps the id of its algebra from being reused by another object. The slot
+# is a one-element list, so filling it rebinds no module attribute: tools
+# that patch and restore the module's attributes compare them by identity.
 _kept: list[Closures | None] = [None]
 
 
-def _closures_for(
-    algebra: FiniteAlgebra, top: int, subset: ElementSet, side: str | None
-) -> Closures:
-    """The kept `Closures` if it is for this algebra object and top, else a
-    fresh one, kept in its place once built. A set with a member outside the
-    carrier is refused as the kernel refuses its pairs. Unless side is None,
-    so is a set over another carrier: with side "left" or "right" as that
-    image refuses it, with side "set" as a set."""
+def _closures(algebra: FiniteAlgebra) -> Closures:
+    """The kept `Closures` if it is for this algebra object, else a fresh
+    one. The caller keeps it once the call's own checks pass, so a refused
+    call leaves the slot in place."""
     closures = _kept[0]
-    if closures is None or closures.algebra is not algebra or closures.top != top:
-        closures = _kept[0] = Closures(algebra, top)
+    if closures is None or closures.algebra is not algebra:
+        closures = Closures(algebra)
+    return closures
+
+
+def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: str) -> Closures:
+    """The `Closures` for this algebra object, kept in the slot once top,
+    the square and the set are checked. A set with a member outside the
+    carrier is refused as the kernel refuses its pairs; a set over another
+    carrier with side "left" or "right" as that image refuses it, with side
+    "set" as a set."""
+    _check_top(algebra, top)
+    closures = _closures(algebra)
     n = algebra.size
     if subset.mask >> n:
-        raise _outside(next(x for x in subset if x >= n), top, n)
-    if side is not None:
-        _check_image_carrier(n, subset, side)
+        x = next(x for x in subset if x >= n)
+        raise ValueOutOfRange(f"pair ({x},{top}) outside carrier of size {n}")
+    _check_image_carrier(n, subset, side)
+    _kept[0] = closures
     return closures
 
 
 def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One induction step: left image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "left")
-    return ElementSet(algebra.size, closures._step("induction", subset.mask, None))
+    return ElementSet(algebra.size, closures._step("induction", top, subset.mask))
 
 
 def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One deduction step: right image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "right")
-    return ElementSet(algebra.size, closures._step("deduction", subset.mask, None))
+    return ElementSet(algebra.size, closures._step("deduction", top, subset.mask))
 
 
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """Smallest set containing `subset` that is the left class of top under
     its own generated relation; the empty set yields {top}."""
-    rows = _closures_for(algebra, top, subset, "set")._rows_of(subset.mask)
-    return ElementSet(algebra.size, _left_mask(rows, 1 << top))
+    _closures_for(algebra, top, subset, "set")
+    rel = semicongruence_generated(algebra, [(x, top) for x in subset])
+    return ElementSet(algebra.size, _left_mask(rel.rows, 1 << top))
 
 
 def iterate(
@@ -363,14 +359,13 @@ def iterate(
         max_steps = n + 1
     if max_steps < 0:
         raise ValueOutOfRange(f"max_steps {max_steps} is negative")
-    side = ("left" if mode == "induction" else "right") if max_steps > 0 else None
-    closures = _closures_for(algebra, top, subset, side)
+    closures = _closures_for(algebra, top, subset, "left" if mode == "induction" else "right")
     mask = subset.mask
     chain = [subset]
     steps: int | None = None
-    base = None
+    base = 0
     for _ in range(max_steps):
-        nxt = closures._step(mode, mask, base)
+        nxt = closures._step(mode, top, mask, base)
         chain.append(ElementSet(n, nxt))
         if nxt == mask:
             steps = len(chain) - 2
@@ -390,8 +385,8 @@ def is_top_normal(
     """Whether `subset` is exactly the congruence class of top under the
     congruence generated by subset x {top}. The empty set is never normal:
     the class of top contains top."""
-    closures = _closures_for(algebra, top, subset, "set")
-    cong = _congruence_of(closures.relation(subset.mask))
+    _closures_for(algebra, top, subset, "set")
+    cong = congruence_generated(algebra, [(x, top) for x in subset])
     cls = ElementSet(algebra.size, _left_mask(cong.rows, 1 << top))
     return NormalityResult(subset == cls, cls)
 

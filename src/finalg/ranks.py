@@ -9,11 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import ElementSet, FiniteAlgebra
+from .algebra import ENUMERATION_LIMIT, ElementSet, FiniteAlgebra
 from .closure import ClosureReport, Mode, iterate
 from .errors import CarrierTooLarge, ValueOutOfRange
-
-ENUMERATION_LIMIT = 16
 
 
 def subsets_in_order(size: int, nonempty: bool = True) -> Iterator[ElementSet]:

@@ -14,7 +14,6 @@ from itertools import combinations
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
 from .closure import (
-    _closures_for,
     clot_closure,
     is_top_normal,
     iterate,
@@ -131,7 +130,7 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
     for entry in build_catalog(limit):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size):
-            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
+            rel = semicongruence_generated(alg, [(x, top) for x in subset])
             for mode, side in (("induction", "left"), ("deduction", "right")):
                 report = iterate(alg, top, subset, mode)
                 # R_I is reflexive: every power past the chain's end is its last set
@@ -175,7 +174,7 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
             enum = BinRel.from_support(
                 stabilized_term_images(square, ElementSet(n * n, mask)), n
             )
-            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
+            rel = semicongruence_generated(alg, [(x, top) for x in subset])
             col.equal(entry.name, str(subset), "semicongruence-equals-term-enumeration",
                       sorted(enum.pairs()), sorted(rel.pairs()))
             col.equal(entry.name, str(subset), "induction-equals-term-description",
@@ -190,7 +189,7 @@ def _suite_semiring(col: _Collector, limit: int) -> None:
         add, mul, zero, one = entry.semiring_symbols
         view = SemiringView(alg, add, mul, zero, one)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            rel = _closures_for(alg, top, subset, None).relation(subset.mask)
+            rel = semicongruence_generated(alg, [(x, top) for x in subset])
             ind = top_induction(alg, top, subset)
             ded = top_deduction(alg, top, subset)
             col.equal(entry.name, str(subset), "induction-equals-sum-with-ideal",

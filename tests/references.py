@@ -3,13 +3,24 @@ engine computed them before its relation cache: every relation generated
 afresh by the kernel, every subset iterated on its own."""
 from __future__ import annotations
 
-from finalg import ClosureReport, ElementSet, RankResult, semicongruence_generated, subsets_in_order
+from finalg import BinRel, ClosureReport, ElementSet, RankResult, subsets_in_order
+from finalg.closure import Closures, _close
 from finalg.relations import left_image, right_image
+
+
+def generated(alg, pairs):
+    """The semicongruence generated by the pairs, closed from the diagonal by
+    the kernel on a fresh Closures: no seed, no kept relation and no slot."""
+    diagonal = [1 << a for a in range(alg.size)]
+    rows = list(diagonal)
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return BinRel(alg.size, _close(Closures(alg), rows, diagonal))
 
 
 def induced(alg, top, mask):
     """R_I, generated from the diagonal by the kernel."""
-    return semicongruence_generated(alg, [(x, top) for x in ElementSet(alg.size, mask)])
+    return generated(alg, [(x, top) for x in ElementSet(alg.size, mask)])
 
 
 def iterate_afresh(alg, top, subset, mode, max_steps=None):

@@ -10,6 +10,7 @@ from finalg import (
     check_maltsev_term,
     check_subtractive_term,
 )
+from finalg import catalog
 from finalg.catalog import (
     boolean_semiring,
     cyclic_group,
@@ -59,6 +60,19 @@ class TestComposition:
     def test_limit_validation(self):
         with pytest.raises(ValueOutOfRange):
             build_catalog(1)
+
+    def test_limit_above_the_enumeration_limit_is_refused(self, monkeypatch):
+        # the tables grow as about limit^4, so the refusal comes before any
+        # entry is built
+        assert max(e.algebra.size for e in build_catalog(16)) == 16
+
+        def no_entry(*args, **tags):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(catalog, "_entry", no_entry)
+        for limit in (17, 160, 10**9):
+            with pytest.raises(ValueOutOfRange, match=r"^catalog limit must be at most 16$"):
+                build_catalog(limit)
 
 
 class TestEntryGuarantees:

@@ -161,6 +161,17 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS theorem-a ")
 
+    def test_limit_above_sixteen_is_refused(self, capsys, monkeypatch):
+        # refused before any catalog entry is built; nat-chain has no catalog
+        def no_entry(*args, **tags):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(finalg.catalog, "_entry", no_entry)
+        code, out, err = run(capsys, "verify", "--suite", "theorem-a", "--limit", "17")
+        assert (code, out, err) == (2, "", "error: catalog limit must be at most 16\n")
+        code, out, _ = run(capsys, "verify", "--suite", "nat-chain", "--limit", "17")
+        assert code == 0 and out.startswith("PASS nat-chain ")
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2

@@ -34,7 +34,7 @@ from finalg import closure
 from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
-from references import induced, iterate_afresh
+from references import generated, induced, iterate_afresh
 
 
 def by_name(name: str):
@@ -55,6 +55,14 @@ def _top_component(rel, top):
                 seen.add(b)
                 todo.append(b)
     return ElementSet.of(n, seen)
+
+
+def kept_induced(closures, top, mask):
+    """R_I as `closures` keeps it: the entry for the seed I x {top}, with
+    pair (x, top) at bit x * n + top."""
+    n = closures.algebra.size
+    seed = sum(1 << (x * n + top) for x in ElementSet(n, mask))
+    return BinRel(n, closures._rows_of(seed))
 
 
 def sample_entries():
@@ -98,9 +106,37 @@ class TestClosuresCache:
         # the kept R of T without its highest element
         for entry in build_catalog(6):
             alg, top = entry.algebra, entry.algebra.top
-            closures = Closures(alg, top)
+            closures = Closures(alg)
             for mask in range(1 << alg.size):
-                assert closures.relation(mask) == induced(alg, top, mask), (entry.name, mask)
+                got = kept_induced(closures, top, mask)
+                assert got == induced(alg, top, mask), (entry.name, mask)
+
+    def test_seeds_in_random_order_equal_fresh_closures(self):
+        # on one algebra object, R_I for two tops and one- to three-pair
+        # seeds in random order: whatever is kept when a seed comes, its
+        # relation is the one closed from the diagonal
+        rng = random.Random(11)
+        for entry in build_catalog(6):
+            alg = entry.algebra
+            n = alg.size
+            queries = [(top, mask) for top in {alg.top, (alg.top + 1) % n}
+                       for mask in range(1 << n)]
+            codes = [(a, b) for a in range(n) for b in range(n)]
+            queries += [(None, rng.sample(codes, rng.randint(1, min(3, len(codes)))))
+                        for _ in range(1 << n)]
+            rng.shuffle(queries)
+            for top, query in queries:
+                if top is None:
+                    got = semicongruence_generated(alg, query)
+                    assert got == generated(alg, query), (entry.name, query)
+                    continue
+                rel, subset = induced(alg, top, query), ElementSet(n, query)
+                assert top_induction(alg, top, subset) == left_image(rel, subset), \
+                    (entry.name, top, query)
+                assert top_deduction(alg, top, subset) == right_image(rel, subset), \
+                    (entry.name, top, query)
+                assert clot_closure(alg, top, subset) == left_image(rel, ElementSet.of(n, [top]))
+            assert closure._kept[0].algebra is alg
 
     def test_grown_from_any_kept_subset(self):
         rng = random.Random(5)
@@ -110,20 +146,20 @@ class TestClosuresCache:
             for _ in range(12):
                 target = rng.randrange(full + 1)
                 for base in (0, target, target & rng.randrange(full + 1)):
-                    closures = Closures(alg, top)
-                    closures.relation(base)
-                    closures._step("induction", target, base)  # grows R_target
-                    got = closures.relation(target)
+                    closures = Closures(alg)
+                    kept_induced(closures, top, base)
+                    closures._step("induction", top, target, base)  # grows R_target
+                    got = kept_induced(closures, top, target)
                     assert got == induced(alg, top, target), (entry.name, target, base)
 
     def test_base_not_kept_or_not_inside(self):
         alg = by_name("z4-ring")
-        closures = Closures(alg, 0)
-        closures._step("deduction", 0b0110, 0b0011)
-        assert closures.relation(0b0110) == induced(alg, 0, 0b0110)
-        closures.relation(0b1000)
-        closures._step("deduction", 0b0101, 0b1000)
-        assert closures.relation(0b0101) == induced(alg, 0, 0b0101)
+        closures = Closures(alg)
+        closures._step("deduction", 0, 0b0110, 0b0011)
+        assert kept_induced(closures, 0, 0b0110) == induced(alg, 0, 0b0110)
+        kept_induced(closures, 0, 0b1000)
+        closures._step("deduction", 0, 0b0101, 0b1000)
+        assert kept_induced(closures, 0, 0b0101) == induced(alg, 0, 0b0101)
 
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):
@@ -138,10 +174,10 @@ class TestClosuresCache:
                 assert iterate(alg, top, subset, "deduction") == \
                     iterate_afresh(alg, top, subset, "deduction")
 
-    def test_one_kept_closures_per_algebra_object_and_top(self, monkeypatch):
-        # a second call on the same algebra object and top closes nothing
-        # new; an equal but distinct object, or another top, replaces the kept
-        # Closures, and a refused one leaves it in place
+    def test_one_kept_closures_per_algebra_object(self, monkeypatch):
+        # a second call on the same algebra object closes nothing new, and a
+        # call on another top keeps the Closures; an equal but distinct
+        # object replaces it, and a refused call leaves it in place
         closes = []
         close = closure._close
         monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
@@ -149,25 +185,39 @@ class TestClosuresCache:
         subset = ElementSet.of(4, [3])
         report = iterate(alg, alg.top, subset, "deduction")
         kept = closure._kept[0]
-        assert kept.algebra is alg and kept.top == alg.top and closes
-        assert set(kept._steps[0]) == {s.mask for s in report.chain}
+        assert kept.algebra is alg and closes
+        assert set(kept._steps["deduction", alg.top]) == {s.mask for s in report.chain}
         closes.clear()
         assert iterate(alg, alg.top, subset, "deduction") == report
         for op in (top_induction, top_deduction, clot_closure, is_top_normal):
             op(alg, alg.top, subset)
+        for op in (semicongruence_generated, congruence_generated):
+            op(alg, [(3, alg.top)])
         assert closure._kept[0] is kept and not closes
-        with pytest.raises(ValueOutOfRange):
-            top_induction(alg, 4, subset)
-        with pytest.raises(SizeOverflow):
-            top_induction(make_algebra([("point", 0)], 65, {"point": [0]}, top=0), 0, subset)
-        assert closure._kept[0] is kept
+        big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         twin = dataclasses.replace(alg)
-        for other, top in ((twin, alg.top), (alg, (alg.top + 1) % 4), (alg, alg.top)):
+        refused = (
+            (ValueOutOfRange, lambda: top_induction(alg, 4, subset)),
+            (SizeOverflow, lambda: top_induction(big, 0, subset)),
+            (SizeOverflow, lambda: semicongruence_generated(big, [(1, 0)])),
+            (ValueOutOfRange, lambda: top_induction(twin, 0, ElementSet.of(6, [5]))),
+            (SizeMismatch, lambda: clot_closure(twin, 0, ElementSet.of(5, [1]))),
+            (ValueOutOfRange, lambda: semicongruence_generated(twin, [(4, 0)])),
+        )
+        for error, call in refused:
+            with pytest.raises(error):
+                call()
+            assert closure._kept[0] is kept
+        other_top = (alg.top + 1) % 4
+        assert iterate(alg, other_top, subset, "deduction").chain[0] == subset
+        assert closure._kept[0] is kept and closes
+        assert ("deduction", other_top) in kept._steps
+        for other in (twin, alg):
             closes.clear()
-            assert iterate(other, top, subset, "deduction").chain[0] == subset
+            assert iterate(other, alg.top, subset, "deduction") == report
             assert closure._kept[0] is not kept and closes
             kept = closure._kept[0]
-            assert kept.algebra is other and kept.top == top
+            assert kept.algebra is other
 
     def test_threads_sharing_the_kept_closures_get_the_reference(self):
         # every thread reads and replaces the one slot; a Closures only stores
@@ -231,32 +281,33 @@ class TestClosuresCache:
 
     def test_steps_are_the_images_of_the_relation(self):
         alg = by_name("sat3-monoid")
-        closures = Closures(alg, alg.top)
+        closures = Closures(alg)
         for mask in range(16):
             rel = induced(alg, alg.top, mask)
             subset = ElementSet(4, mask)
-            assert closures._step("induction", mask, None) == left_image(rel, subset).mask
-            assert closures._step("deduction", mask, None) == right_image(rel, subset).mask
+            assert closures._step("induction", alg.top, mask) == left_image(rel, subset).mask
+            assert closures._step("deduction", alg.top, mask) == \
+                right_image(rel, subset).mask
 
     def test_refusals(self):
         alg = by_name("z4-monoid")
         with pytest.raises(ValueOutOfRange):
-            Closures(alg, 4)
+            Closures(alg)._step("induction", 4, 1)
         with pytest.raises(ValueOutOfRange):
-            Closures(alg, 0).relation(1 << 4)
+            Closures(alg)._step("induction", 0, 1 << 4)
         with pytest.raises(ValueOutOfRange):
-            Closures(alg, 0)._step("induction", -1, None)
+            Closures(alg)._step("induction", 0, -1)
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         with pytest.raises(SizeOverflow):
-            Closures(big, 0)
+            Closures(big)
         with pytest.raises(ValueOutOfRange, match=r"pair \(5,0\) outside carrier of size 4"):
             iterate(alg, 0, ElementSet.of(6, [1, 5]), "induction")
         with pytest.raises(SizeMismatch, match="target set over a different carrier"):
             iterate(alg, 0, ElementSet.of(3, [1]), "induction")
         with pytest.raises(SizeMismatch, match="source set over a different carrier"):
             iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
-        assert iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0).chain == \
-            (ElementSet.of(5, [1]),)
+        with pytest.raises(SizeMismatch, match="source set over a different carrier"):
+            iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0)
         # the single-shot operators, with another algebra's Closures kept and
         # with this one's, refuse as they did when each closed R_I from the
         # diagonal
@@ -289,7 +340,8 @@ class TestClosuresCache:
     def test_single_shot_operators_equal_the_reference(self):
         # every mask through the kept Closures after random other masks were
         # kept, then every mask again right after a call on an equal but
-        # distinct algebra object or on another top, which replaced it
+        # distinct algebra object, which replaced it, or on another top,
+        # which kept it
         rng = random.Random(7)
         for entry in build_catalog(5):
             alg, top = entry.algebra, entry.algebra.top
@@ -323,9 +375,11 @@ class TestClosuresCache:
             for i, mask in enumerate(masks):
                 other, other_top = others[i % len(others)]
                 clot_closure(other, other_top, ElementSet(n, mask))
-                assert closure._kept[0].algebra is other and closure._kept[0].top == other_top
+                assert closure._kept[0].algebra is other
+                assert (closure._kept[0] is kept) == (other is alg)
                 assert single_shots(mask) == expected[mask], (entry.name, mask, other_top)
-                assert closure._kept[0].algebra is alg and closure._kept[0] is not kept
+                assert closure._kept[0].algebra is alg
+                kept = closure._kept[0]
 
 
 class TestCongruence:
@@ -431,6 +485,18 @@ class TestIterate:
         report = iterate(alg, 0, ElementSet.of(2, [1]), "deduction")
         assert [set(s) for s in report.distinct_stages()] == [{1}, {0, 1}]
         assert report.steps_to_fixpoint == 1
+
+    def test_set_over_another_carrier_is_refused_for_every_budget(self):
+        # with no step to take the set is still refused, as every step is
+        alg = by_name("z4-monoid")
+        for other in (ElementSet.of(3, [1]), ElementSet.of(5, [1])):
+            for max_steps in (0, 1, None):
+                with pytest.raises(SizeMismatch,
+                                   match=r"^target set over a different carrier$"):
+                    iterate(alg, 0, other, "induction", max_steps)
+                with pytest.raises(SizeMismatch,
+                                   match=r"^source set over a different carrier$"):
+                    iterate(alg, 0, other, "deduction", max_steps)
 
     def test_max_steps_exhaustion(self):
         alg = by_name("z3-monoid")

@@ -68,9 +68,12 @@ class TestSuiteRuns:
 
 class TestKernelRuns:
     # every nonempty set of every entry closes its R_I once, for the suite's
-    # own checks and its ranks together; maltsev also closes its 603 pair sets
+    # own checks, its ranks and its semicongruence_generated calls together;
+    # maltsev also closes its 603 pair sets but the 72 seeds that are some
+    # I x {top}, and each two-pair set grows from its kept singleton
     @pytest.mark.parametrize("name, runs", [
-        ("subtractive", 78), ("jonsson-tarski", 78), ("maltsev", 681), ("rank0", 25),
+        ("subtractive", 78), ("jonsson-tarski", 78), ("maltsev", 609), ("rank0", 25),
+        ("theorem-c", 209), ("term-oracle", 209), ("semiring", 54),
     ])
     def test_kernel_runs_per_suite(self, name, runs, monkeypatch):
         closes = []
