@@ -100,56 +100,50 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     `rows`, is already reflexive and compatible: the diagonal, or a kept
     relation grown on.
 
-    Semi-naive: delta[a] is the bits row a gained in the last round, and the
-    first delta is rows minus base. For an op f of arity k, a round adds
-    f(R[a1] x ... x R[ak]) to rows[f(a1..ak)] only for the product tuples not
-    seen before, those in R x..x R x delta x old x..x old with the delta at
-    some position i (old = R without delta). The image of a row over the last
-    coordinate comes from the translation tables; within a round it is
-    computed once per prefix and reused by every argument tuple.
+    A round recomputes, over full rows, every argument tuple one of whose
+    rows changed: in the first round the rows that differ from `base`, then
+    the rows that gained bits in the round before. For an op f of arity k it
+    adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The image of a row over
+    the last coordinate comes from the translation tables; within a round it
+    is computed once per prefix code and reused by every argument tuple. A
+    prefix (a1..a_{k-1}) none of whose rows changed is paired only with the
+    changed last coordinates.
 
-    As `base` is reflexive, every row keeps its diagonal bit, and that bit is
-    never in a delta. So old is nonempty in every row, and old positions
-    range over all of A; delta is nonempty in every round that runs."""
+    Exact: a tuple none of whose rows changed since the round that last
+    computed it adds nothing new, and in the first round such a tuple lies
+    in `base`, which is compatible."""
     n = closures.algebra.size
-    delta = [r & ~b for r, b in zip(rows, base)]
-    if not any(delta):
+    is_changed = [r != b for r, b in zip(rows, base)]
+    if not any(is_changed):
         return tuple(rows)
     unary, wider = closures._tables
     if not unary and not wider:  # constants only: the diagonal holds them
         return tuple(rows)
     everything = range(n)
-    # old (R without delta) is the R of the round before
     row_bits = [list(_bits(b)) for b in base]
     while True:
-        dirty = [a for a in everything if delta[a]]
-        delta_bits = {a: list(_bits(delta[a])) for a in dirty}
-        old_bits, row_bits = row_bits, list(row_bits)
-        for a in dirty:
+        changed = [a for a in everything if is_changed[a]]
+        unchanged = [a for a in everything if not is_changed[a]]
+        for a in changed:
             row_bits[a] = list(_bits(rows[a]))
-        lasts = (
-            (everything, _chunk_keys([r ^ d for r, d in zip(rows, delta)], n)),
-            (dirty, _chunk_keys([delta[a] for a in dirty], n)),
-        )
         gained = [0] * n
         for table, bits in unary:
-            for a in dirty:
-                gained[table[a]] |= reduce(or_, map(bits.__getitem__, delta_bits[a]))
+            for a in changed:
+                gained[table[a]] |= reduce(or_, map(bits.__getitem__, row_bits[a]))
         for arity, table, tables in wider:
-            cached: tuple[dict[int, list[int]], ...] = ({}, {})
-            for pos in range(arity):
-                # prefix positions before pos range over R, pos over delta,
-                # later ones over old; the last coordinate is delta or old
-                last_is_delta = pos == arity - 1
-                last, keys = lasts[last_is_delta]
-                images_of = cached[last_is_delta]
-                pools = [(everything, row_bits)] * pos + [(dirty, delta_bits)]
-                pools += [(everything, old_bits)] * (arity - 1 - pos)
-                prefixes = [(0, [0])]
-                for pool, bits in pools[:arity - 1]:
-                    prefixes = [(index * n + a, [c * n + b for c in codes for b in bits[a]])
-                                for index, codes in prefixes for a in pool]
-                for index, codes in prefixes:
+            prefixes = [(0, [0], False)]
+            for _ in range(arity - 1):
+                prefixes = [(index * n + a, [c * n + b for c in codes for b in row_bits[a]],
+                             flagged or is_changed[a])
+                            for index, codes, flagged in prefixes for a in everything]
+            # (a) changed last coordinates after every prefix, (b) unchanged
+            # ones after a prefix with a changed row
+            for last, group in ((changed, prefixes), (unchanged, [p for p in prefixes if p[2]])):
+                if not last:
+                    continue
+                keys = _chunk_keys([rows[a] for a in last], n)
+                images_of: dict[int, list[int]] = {}
+                for index, codes, _ in group:
                     acc = None
                     for p in codes:
                         images = images_of.get(p)
@@ -159,10 +153,10 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
                     offset = index * n
                     for a, image in zip(last, acc):
                         gained[table[offset + a]] |= image
-        delta = [g & ~r for g, r in zip(gained, rows)]
-        if not any(delta):
+        is_changed = [g & ~r != 0 for g, r in zip(gained, rows)]
+        if not any(is_changed):
             return tuple(rows)
-        rows = [r | d for r, d in zip(rows, delta)]
+        rows = [r | g for r, g in zip(rows, gained)]
 
 
 def congruence_generated(

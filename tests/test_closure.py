@@ -12,6 +12,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from finalg import (
     BinRel,
@@ -35,6 +36,7 @@ from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
 from references import generated, induced, iterate_afresh
+from test_ranks import algebras_with_top
 
 
 def by_name(name: str):
@@ -607,3 +609,24 @@ class TestCoverageEquivalence:
         induced = top_induction(alg, 0, subset)
         assert set(induced) == {0, 1}
         assert generated.issubset(induced)  # right side true
+
+
+@settings(max_examples=150)
+@given(algebras_with_top())
+def test_operators_on_random_algebras(case):
+    """Random algebras, ops of arity 0-3, every subset: the congruence
+    engine equals union-find, both steps are increasing, a nonempty set is
+    normal iff one induction and one deduction step fix it (theorem-a), and
+    the clot is idempotent."""
+    alg, top = case
+    for subset in subsets_in_order(alg.size, nonempty=False):
+        pairs = [(x, top) for x in subset]
+        assert congruence_generated(alg, pairs) == congruence_by_unionfind(alg, pairs), subset
+        ind = top_induction(alg, top, subset)
+        ded = top_deduction(alg, top, subset)
+        assert subset.issubset(ind) and subset.issubset(ded), subset
+        if subset:
+            fixed = ind == subset and ded == subset
+            assert is_top_normal(alg, top, subset).is_normal == fixed, subset
+        once = clot_closure(alg, top, subset)
+        assert clot_closure(alg, top, once) == once, subset

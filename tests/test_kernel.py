@@ -1,6 +1,8 @@
 """The row-wise semicongruence kernel against closures on the materialised
 square A x A: term enumeration on random small algebras, the worklist
-closure on fixed algebras whose carriers span several 8-bit chunks."""
+closure on fixed algebras whose carriers span several 8-bit chunks and on
+random algebras grown from a closed base; at the carrier limit n = 64, the
+worklist closure or a closed form."""
 from __future__ import annotations
 
 import random
@@ -21,7 +23,7 @@ from finalg import (
     stabilized_term_images,
 )
 from finalg.catalog import cyclic_ring
-from finalg.closure import _chunk_keys, _images, _translation_tables
+from finalg.closure import Closures, _chunk_keys, _close, _images, _translation_tables
 from finalg.errors import SizeOverflow
 
 
@@ -100,6 +102,14 @@ def _relabelled(n: int, ops, seed: int):
     return make_algebra([(name, k) for name, k, _ in ops], n, tables)
 
 
+def _gated_middle_successor(n: int):
+    """g(a, b, c) = b + 1 mod n when (a, c) = (0, n - 1), else 0: each new
+    pair has one derivation, through a tuple whose only changed row is the
+    middle one."""
+    return _relabelled(
+        n, [("g", 3, lambda a, b, c: (b + 1) % n if (a, c) == (0, n - 1) else 0)], n)
+
+
 def _fixed_cases():
     # binary and unary ops up to 17 elements (three chunks), ternary ones up
     # to 9 (two chunks), where the square's ternary table stays affordable.
@@ -124,6 +134,7 @@ def _fixed_cases():
                 n, [("mal", 3, lambda a, b, c: (a - b + c) % n), ("neg", 1, lambda a: -a % n)], n)
         yield f"z{n}-last-successor", _relabelled(
             n, [("succ", 3, lambda a, b, c: (c + 1) % n)], n)
+        yield f"z{n}-gated-middle-successor", _gated_middle_successor(n)
     yield "z9-ring", cyclic_ring(9).algebra
 
 
@@ -140,6 +151,61 @@ def test_equals_worklist_closure_on_the_square(alg):
     for pairs in ([], [(n - 1, 0)], [(1, 0), (3, n - 2)], [(2, 5), (n - 1, 6), (0, 8 % n)]):
         expected = generate_subalgebra(square, _square_support(n, pairs))
         assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
+
+
+def test_gated_middle_successor_from_every_pair():
+    # the fixed pair lists above name elements up to 8, so n = 4 runs here
+    n = 4
+    alg = _gated_middle_successor(n)
+    square = product_square(alg)
+    for pair in iterprod(range(n), repeat=2):
+        expected = generate_subalgebra(square, _square_support(n, [pair]))
+        assert semicongruence_generated(alg, [pair]) == BinRel.from_support(expected, n), pair
+
+
+@pytest.mark.parametrize("succ", [lambda a: (a + 1) % 64, lambda a: min(a + 1, 63)],
+                         ids=["mod", "truncated"])
+def test_unary_successor_at_the_carrier_limit(succ):
+    # n = 64 is the largest carrier the square limit allows; from (1, 0)
+    # the successor derives one new pair per round, about n rounds
+    n = 64
+    alg = make_algebra([("succ", 1)], n, {"succ": [succ(a) for a in range(n)]})
+    square = product_square(alg)
+    for pairs in ([(1, 0)], [(n - 1, 0)], [(0, 9), (40, 17)]):
+        expected = generate_subalgebra(square, _square_support(n, pairs))
+        assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
+
+
+@pytest.mark.parametrize("wrap", [True, False], ids=["mod", "truncated"])
+def test_binary_right_successor_at_the_carrier_limit(wrap):
+    # s(a, b) = b + 1 maps pair (b, b') to (b + 1, b' + 1), so (1, 0) closes
+    # to the diagonal and every (x + 1, x), over about n rounds; the square's
+    # binary table would hold 16.7 M entries
+    n = 64
+    succ = [(b + 1) % n if wrap else min(b + 1, n - 1) for b in range(n)]
+    alg = make_algebra([("s", 2)], n, {"s": succ * n})
+    pairs = [(a, a) for a in range(n)] + [(x + 1, x) for x in range(n - 1)]
+    if wrap:
+        pairs.append((0, n - 1))
+    assert semicongruence_generated(alg, [(1, 0)]) == BinRel.from_pairs(n, pairs)
+
+
+@settings(max_examples=200)
+@given(algebras_with_pairs(), st.data())
+def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
+    # the base is the square closure of P, not the kernel's; the kernel grows
+    # it by Q and must give the square closure of P and Q together
+    alg, pairs = case
+    n = alg.size
+    element = st.integers(0, n - 1)
+    more = data.draw(st.lists(st.tuples(element, element), max_size=3))
+    square = product_square(alg)
+    base = BinRel.from_support(generate_subalgebra(square, _square_support(n, pairs)), n).rows
+    rows = list(base)
+    for a, b in more:
+        rows[a] |= 1 << b
+    expected = generate_subalgebra(square, _square_support(n, pairs + more))
+    assert BinRel(n, _close(Closures(alg), rows, base)) == BinRel.from_support(expected, n)
 
 
 @fixed_algebras
