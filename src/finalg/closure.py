@@ -114,8 +114,6 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     in `base`, which is compatible."""
     n = closures.algebra.size
     is_changed = [r != b for r, b in zip(rows, base)]
-    if not any(is_changed):
-        return tuple(rows)
     unary, wider = closures._tables
     if not unary and not wider:  # constants only: the diagonal holds them
         return tuple(rows)
@@ -216,22 +214,16 @@ class Closures:
     """The semicongruences of one algebra, kept by their seed for the life
     of the object, and the induction and deduction step of every set and
     top asked for. The seed is the support of the generating pairs, pair
-    (a, b) at bit a * n + b; R_I is the entry for the seed I x {top}.
-
-    The relation is monotone in its seed, so a missing R_T is grown from a
-    kept R_J with J inside T: the kernel starts from R_J plus the pairs of T
-    and only the pairs new to R_J form its first delta. J is the stage
-    `iterate` steps on from, else T without its highest seed bit (for R_I,
-    its highest element); with neither kept, R_T is closed from the
-    diagonal.
+    (a, b) at bit a * n + b; R_I is the entry for the seed I x {top}. One
+    rule (`_rows_of`) reads a missing entry off a kept one or grows it.
 
     The module keeps one `Closures`: the last one its functions built. Every
     call of theirs on the same algebra object reads its relations from it,
     whatever the top; a call on another algebra object replaces it. Until
     then it stays alive: after a rank it holds the rank's whole working set
-    (about 8 MB for z14-monoid). Peak memory does not grow, as the rank held
-    that set while it ran. Threads share the slot without a lock: a
-    `Closures` only stores values that are the same whoever computes them."""
+    (3.3 MB for z14-monoid, whose 16,384 seeds share 20 tuples), which the
+    rank held as it ran. Threads share the slot without a lock: a `Closures`
+    only stores values that are the same whoever computes them."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
@@ -248,26 +240,34 @@ class Closures:
         return _translation_tables(self.algebra)
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
-        """Rows of the semicongruence generated by the pairs in `seed`, grown
-        from the one of `base` when that is kept, nonempty and inside seed."""
-        got = self._rows.get(seed)
-        if got is not None:
+        """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair
+        (each pair), `base`, the diagonal; each counts if kept and inside T.
+        The first R_J holding T is R_T (Sg(diagonal + T) is monotone in T),
+        kept as that tuple; else the kernel closes the first counted R_J
+        plus the pairs of T outside J."""
+        kept, n = self._rows, self.algebra.size
+        if (got := kept.get(seed)) is not None:
             return got
-        start = self._rows.get(base) if base and base & ~seed == 0 else None
-        if start is None:
-            start = self._rows.get(seed ^ 1 << (seed.bit_length() - 1), self._rows[0])
-        rows = list(start)
-        n = self.algebra.size
-        for code in _bits(seed):
-            a, b = divmod(code, n)
-            rows[a] |= 1 << b
-        got = self._rows[seed] = _close(self, rows, start)
+        start = None
+        for sub in (*(seed ^ 1 << code for code in _bits(seed)), base, 0):
+            if sub & ~seed or (got := kept.get(sub)) is None:
+                continue
+            pairs = [divmod(code, n) for code in _bits(seed & ~sub)]
+            if all(got[a] >> b & 1 for a, b in pairs):
+                break
+            start = start or (got, pairs)
+        else:
+            grown = list(start[0])
+            for a, b in start[1]:
+                grown[a] |= 1 << b
+            got = _close(self, grown, start[0])
+        kept[seed] = got
         return got
 
     def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
-        mask: the left or right image of I under R_I, with R_I grown from
-        R_base if that is kept. Masks become seeds only here, on a miss."""
+        mask: the left or right image of I under R_I, with `base`'s seed a
+        candidate to grow R_I from. Masks become seeds only here, on a miss."""
         memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
@@ -346,8 +346,8 @@ def iterate(
     """Apply induction or deduction repeatedly, with the relation of the
     current set at every step, until a fixpoint or max_steps (default n + 1).
 
-    Both steps are increasing, so each stage's relation grows from the one
-    before, and every relation and step is kept by the module's `Closures`."""
+    Both steps are increasing, so each stage's relation may grow from the
+    one before, and every relation and step is kept by the module's `Closures`."""
     n = algebra.size
     if max_steps is None:
         max_steps = n + 1

@@ -45,9 +45,9 @@ def algebra_rank(
 ) -> RankResult:
     """Largest steps-to-fixpoint over every nonempty subset of the carrier.
 
-    `iterate` reads every subset's relations from the one kept `Closures`,
-    so each mask is stepped once and, in enumeration order, every R_T grows
-    from the kept R of T without its highest element."""
+    `iterate` reads every subset's relations from the one kept `Closures`:
+    each mask is stepped once, and in enumeration order R_T is the kept R of
+    T less one element when that holds T, and is grown from one otherwise."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(
             f"carrier size {algebra.size} exceeds enumeration limit {ENUMERATION_LIMIT}"

@@ -104,8 +104,8 @@ class TestSemicongruence:
 
 class TestClosuresCache:
     def test_every_mask_equals_the_kernel(self):
-        # one cache per algebra, masks in numeric order: each R_T grows from
-        # the kept R of T without its highest element
+        # one cache per algebra, masks in numeric order: each R_T is taken
+        # or grown from a kept R of T without one element
         for entry in build_catalog(6):
             alg, top = entry.algebra, entry.algebra.top
             closures = Closures(alg)
@@ -162,6 +162,35 @@ class TestClosuresCache:
         kept_induced(closures, 0, 0b1000)
         closures._step("deduction", 0, 0b0101, 0b1000)
         assert kept_induced(closures, 0, 0b0101) == induced(alg, 0, 0b0101)
+
+    def test_kept_subseed_holding_the_missing_pair_is_reused(self, monkeypatch):
+        # in z4-monoid the relation of (2,0) holds (0,2), so the seed
+        # {(2,0), (0,2)} is that very relation and runs no kernel
+        closes = []
+        close = closure._close
+        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
+        closures = Closures(by_name("z4-monoid"))
+        one = closures._rows_of(1 << 2 * 4 + 0)
+        assert closes == [1]
+        both = closures._rows_of(1 << 2 * 4 + 0 | 1 << 0 * 4 + 2)
+        assert both is one and closes == [1]
+        assert BinRel(4, both) == generated(by_name("z4-monoid"), [(2, 0), (0, 2)])
+
+    def test_iterate_grows_each_stage_from_the_one_before(self, monkeypatch):
+        # sat5-monoid deduction: {3,4} -> {0,1,3,4} -> {0,1,2,3,4}; no subset
+        # of {0,1,3,4} short of one element is kept, so its relation grows
+        # from the kept relation of {3,4}, not from the diagonal
+        starts = []
+        close = closure._close
+        monkeypatch.setattr(closure, "_close",
+                            lambda *args: starts.append(args[2]) or close(*args))
+        alg = next(e.algebra for e in build_catalog(6) if e.name == "sat5-monoid")
+        report = iterate(alg, alg.top, ElementSet.of(6, [3, 4]), "deduction")
+        stages = report.distinct_stages()
+        assert [sorted(s) for s in stages] == [[3, 4], [0, 1, 3, 4], [0, 1, 2, 3, 4]]
+        kept = closure._kept[0]
+        assert kept.algebra is alg and len(starts) == 2
+        assert starts[1] is kept_induced(kept, alg.top, stages[0].mask).rows
 
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):

@@ -6,7 +6,10 @@ catalog algebra with n <= 4, rendered to a file, for the per-set commands;
 both rank modes per algebra; all verification suites at their default limit.
 A refactor that claims byte-identical output must leave every digest as it is.
 Every rank in that part of the catalog is at most 1, so each fixpoint digest
-equals its one-step digest.
+equals its one-step digest. Chains of two or more growth steps are pinned
+over the n <= 8 catalog: the deduction fixpoint of every subset of the
+saturating monoids of rank 2 or more, both rank modes per algebra, and all
+suites at --limit 6.
 """
 from __future__ import annotations
 
@@ -35,6 +38,13 @@ PER_SET = {
 RANK_DIGEST = "45fc8eec6131fc55e69f62850d190e07b7cd4f54b10cad4cc47d23188dceeced"
 VERIFY_DIGEST = "21b1914d7090f70cec8bf3f648e5fb3158ee8a70aae806d40a56eb8fccdb2c57"
 
+# the entries of the n <= 8 catalog with a rank of 2 or more
+MULTISTEP = ("sat5-monoid", "sat6-monoid", "sat7-monoid")
+MULTISTEP_FIXPOINT_DIGEST = "e19eacc3ef311c2fcff751e68db332afc384819dbefab4e412cbbae11f769ace"
+RANK_8_DIGEST = "3b2c29d32b12dd1723b2fc73ee3150ef6b7d3c894a33d9b24b23d4d0b18d08de"
+# its summaries include FAIL theorem-b 961 369 and FAIL theorem-c 9610 6
+VERIFY_LIMIT_6_DIGEST = "8b42974ecf7a34aed045b0a99e9ae52831aa94f7964dea4c3a5cee63fd917f60"
+
 
 def _digest(calls) -> str:
     h = hashlib.sha256()
@@ -46,15 +56,24 @@ def _digest(calls) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _render(root, limit):
+    """(name, path, size) of every catalog entry up to `limit`, one file each."""
     out = []
-    for entry in build_catalog(4):
+    for entry in build_catalog(limit):
         path = root / f"{entry.name}.ua"
         path.write_text(render_algebra(entry.name, entry.algebra))
-        out.append((str(path), entry.algebra.size))
+        out.append((entry.name, str(path), entry.algebra.size))
     return out
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return [(path, n) for _, path, n in _render(tmp_path_factory.mktemp("golden"), 4)]
+
+
+@pytest.fixture(scope="module")
+def files_8(tmp_path_factory):
+    return _render(tmp_path_factory.mktemp("golden8"), 8)
 
 
 def test_catalog_digest():
@@ -80,3 +99,22 @@ def test_rank_digest(files):
 
 def test_verify_digest():
     assert _digest(("verify", "--suite", suite) for suite in SUITE_NAMES) == VERIFY_DIGEST
+
+
+def test_multistep_fixpoint_digest(files_8):
+    calls = (
+        ("ded", path, "--set", ",".join(map(str, subset)) or "-", "--fixpoint")
+        for name, path, n in files_8 if name in MULTISTEP
+        for subset in subsets_in_order(n, nonempty=False)
+    )
+    assert _digest(calls) == MULTISTEP_FIXPOINT_DIGEST
+
+
+def test_rank_8_digest(files_8):
+    calls = (("rank", path, "--mode", mode) for _, path, _ in files_8 for mode in ("ind", "ded"))
+    assert _digest(calls) == RANK_8_DIGEST
+
+
+def test_verify_limit_6_digest():
+    calls = (("verify", "--suite", suite, "--limit", "6") for suite in SUITE_NAMES)
+    assert _digest(calls) == VERIFY_LIMIT_6_DIGEST
