@@ -285,59 +285,25 @@ def product_square(
 
 def generate_subalgebra(algebra: FiniteAlgebra, seed: ElementSet) -> ElementSet:
     """Smallest subset containing `seed` and every constant, closed under all
-    operations. Worklist closure; only tuples touching fresh elements are
-    re-examined."""
+    operations. Worklist closure: a round takes each argument tuple with a
+    fresh element once, by its first fresh coordinate i, from the pools
+    old^i x frontier x current^(k-1-i)."""
     if seed.size != algebra.size:
         raise SizeMismatch("seed set over a different carrier")
     n = algebra.size
-    member = bytearray(n)
-    for x in seed:
-        member[x] = 1
-    for c in algebra.constants():
-        member[c] = 1
-    current = [x for x in range(n) if member[x]]
-    frontier = list(current)
-    nonconst = [(arity, table) for _, arity, table in algebra.ops() if arity > 0]
+    current = sorted(set(seed) | set(algebra.constants()))
+    frontier = current
     while frontier:
-        fresh: list[int] = []
-
-        def emit(v: int) -> None:
-            if not member[v]:
-                member[v] = 1
-                fresh.append(v)
-
-        for arity, table in nonconst:
-            if arity == 1:
-                for a in frontier:
-                    emit(table[a])
-            elif arity == 2:
-                for a in frontier:
-                    base = a * n
-                    for b in current:
-                        emit(table[base + b])
-                for a in current:
-                    base = a * n
-                    for b in frontier:
-                        emit(table[base + b])
-            elif arity == 3:
-                n2 = n * n
-                for pos in range(3):
-                    pools = [current, current, current]
-                    pools[pos] = frontier
-                    for a in pools[0]:
-                        for b in pools[1]:
-                            base = a * n2 + b * n
-                            for c in pools[2]:
-                                emit(table[base + c])
-            else:
-                # rare arities: full re-scan is still cheap at these sizes
-                for args in iterprod(current, repeat=arity):
-                    idx = 0
-                    for a in args:
-                        idx = idx * n + a
-                    emit(table[idx])
-        current.extend(fresh)
-        frontier = fresh
+        old = current[:len(current) - len(frontier)]
+        reached: set[int] = set()
+        for _, arity, table in algebra.ops():
+            for i in range(arity):
+                offsets = [0]
+                for pool in [old] * i + [frontier] + [current] * (arity - 1 - i):
+                    offsets = [o * n + a for o in offsets for a in pool]
+                reached.update(map(table.__getitem__, offsets))
+        frontier = list(reached.difference(current))
+        current = current + frontier
     return ElementSet.of(n, current)
 
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra, _bits
 from .errors import SizeOverflow, ValueOutOfRange
@@ -32,57 +32,6 @@ from .relations import (
 Mode = Literal["induction", "deduction"]
 
 
-# Translation tables cover masks in chunks of this many bits.
-_CHUNK_BITS = 8
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
-
-
-def _translation_tables(algebra: FiniteAlgebra) -> tuple[tuple, tuple]:
-    """The kernel's lookup tables of an algebra: (unary, wider).
-
-    A unary op f gives (table, bits) with bits[x] = 1 << f(x). An op f of
-    arity k >= 2 gives (k, table, tables): tables[p] belongs to the prefix
-    p = (b1..b_{k-1}), coded like a table index, and maps a mask m of last
-    arguments to the mask of the f(b1..b_{k-1}, x) with x in m, one chunk at a
-    time: chunk j of m sits at index (j << _CHUNK_BITS) | (m >> j * _CHUNK_BITS
-    & _CHUNK_MASK). A chunk of width w takes 2^w entries, n^(k-1) * sum(2^w)
-    in all. For n >= 2 no op's tables are larger than its square: n for n^2
-    entries when unary, fewer than (n^2)^k when k >= 2."""
-    n = algebra.size
-    unary, wider = [], []
-    for _, arity, table in algebra.ops():
-        if arity == 1:
-            unary.append((table, [1 << x for x in table]))
-        elif arity >= 2:
-            tables = []
-            for start in range(0, len(table), n):
-                flat: list[int] = []
-                for lo in range(start, start + n, _CHUNK_BITS):
-                    chunk = [0]
-                    for x in table[lo:min(lo + _CHUNK_BITS, start + n)]:
-                        bit = 1 << x
-                        chunk += [m | bit for m in chunk]
-                    flat += chunk
-                tables.append(flat)
-            wider.append((arity, table, tables))
-    return tuple(unary), tuple(wider)
-
-
-def _chunk_keys(masks: list[int], n: int) -> list[list[int]]:
-    """Per chunk, the lookup index of every mask into a translation table."""
-    return [[(j << _CHUNK_BITS) | (m >> shift & _CHUNK_MASK) for m in masks]
-            for j, shift in enumerate(range(0, n, _CHUNK_BITS))]
-
-
-def _images(table: list[int], keys: list[list[int]]) -> list[int]:
-    """Image under one translation of every mask whose chunk keys are given."""
-    get = table.__getitem__
-    out = list(map(get, keys[0]))
-    for chunk in keys[1:]:
-        out = list(map(or_, out, map(get, chunk)))
-    return out
-
-
 def semicongruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
@@ -94,6 +43,35 @@ def semicongruence_generated(
     return BinRel(algebra.size, closures._rows_of(seed))
 
 
+def _or_slices(x: list[int], y: list[int]) -> list[int]:
+    return list(map(or_, x, y))
+
+
+def _fold(bits: list[int], pools: list[Sequence[int]], row_bits: list[list[int]],
+          n: int) -> Iterator[tuple[int, int]]:
+    """(index, image) of every argument tuple in the product of `pools`,
+    one pool per coordinate: the table index of the tuple (a1..ak) and the
+    mask of the f(b1..bk), each bj in row ai, where bits[i] = 1 << f's
+    entry i and row_bits[a] lists the (never empty) row of a.
+
+    Left to right, folding a coordinate over its pool replaces each list L
+    by one list per a in the pool, the elementwise OR over b in row a of
+    the b-th of L's n slices; the last coordinate ORs single masks."""
+    offsets, level = [0], [bits]
+    for depth, pool in enumerate(pools, 1):
+        width = n ** (len(pools) - depth)
+        last = depth == len(pools)
+        join = or_ if last else _or_slices
+        offsets = [o * n + a for o in offsets for a in pool]
+        folded: list = []
+        for flat in level:
+            get = flat.__getitem__ if last else [
+                flat[b:b + width] for b in range(0, len(flat), width)].__getitem__
+            folded += [reduce(join, map(get, row_bits[a])) for a in pool]
+        level = folded
+    return zip(offsets, level)
+
+
 def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
     """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
     of the algebra of `closures`, given that `base`, row by row inside
@@ -103,20 +81,16 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
     the rows that gained bits in the round before. For an op f of arity k it
-    adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The image of a row over
-    the last coordinate comes from the translation tables; within a round it
-    is computed once per prefix code and reused by every argument tuple. A
-    prefix (a1..a_{k-1}) none of whose rows changed is paired only with the
-    changed last coordinates.
+    adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The tuples whose first
+    changed coordinate is i range over unchanged^i x changed x
+    everything^(k-1-i), so each tuple with a changed row is taken once.
+    `_fold` gives their images.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
     in `base`, which is compatible."""
     n = closures.algebra.size
     is_changed = [r != b for r, b in zip(rows, base)]
-    unary, wider = closures._tables
-    if not unary and not wider:  # constants only: the diagonal holds them
-        return tuple(rows)
     everything = range(n)
     row_bits = [list(_bits(b)) for b in base]
     while True:
@@ -125,32 +99,11 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
         for a in changed:
             row_bits[a] = list(_bits(rows[a]))
         gained = [0] * n
-        for table, bits in unary:
-            for a in changed:
-                gained[table[a]] |= reduce(or_, map(bits.__getitem__, row_bits[a]))
-        for arity, table, tables in wider:
-            prefixes = [(0, [0], False)]
-            for _ in range(arity - 1):
-                prefixes = [(index * n + a, [c * n + b for c in codes for b in row_bits[a]],
-                             flagged or is_changed[a])
-                            for index, codes, flagged in prefixes for a in everything]
-            # (a) changed last coordinates after every prefix, (b) unchanged
-            # ones after a prefix with a changed row
-            for last, group in ((changed, prefixes), (unchanged, [p for p in prefixes if p[2]])):
-                if not last:
-                    continue
-                keys = _chunk_keys([rows[a] for a in last], n)
-                images_of: dict[int, list[int]] = {}
-                for index, codes, _ in group:
-                    acc = None
-                    for p in codes:
-                        images = images_of.get(p)
-                        if images is None:
-                            images = images_of[p] = _images(tables[p], keys)
-                        acc = images if acc is None else list(map(or_, acc, images))
-                    offset = index * n
-                    for a, image in zip(last, acc):
-                        gained[table[offset + a]] |= image
+        for k, table, bits in closures._tables:
+            for i in range(k):
+                pools = [unchanged] * i + [changed] + [everything] * (k - 1 - i)
+                for index, image in _fold(bits, pools, row_bits, n):
+                    gained[table[index]] |= image
         is_changed = [g & ~r != 0 for g, r in zip(gained, rows)]
         if not any(is_changed):
             return tuple(rows)
@@ -235,9 +188,12 @@ class Closures:
         self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
 
     @cached_property
-    def _tables(self) -> tuple[tuple, tuple]:
-        """The kernel's translation tables, built on its first run."""
-        return _translation_tables(self.algebra)
+    def _tables(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
+        """Per op, the kernel's input: its arity k, its table and its bit
+        table, entry i the mask 1 << table[i] (n^k entries); built on the
+        kernel's first run."""
+        bit = [1 << v for v in range(self.algebra.size)]
+        return tuple((k, table, [bit[v] for v in table]) for _, k, table in self.algebra.ops())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair

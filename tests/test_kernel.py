@@ -1,11 +1,13 @@
 """The row-wise semicongruence kernel against closures on the materialised
-square A x A: term enumeration on random small algebras, the worklist
-closure on fixed algebras whose carriers span several 8-bit chunks and on
+square A x A: term enumeration on random small algebras and on quaternary
+ops, the worklist closure on fixed algebras of up to 17 elements and on
 random algebras grown from a closed base; at the carrier limit n = 64, the
-worklist closure or a closed form."""
+worklist closure or a closed form. The fold that gives the kernel's images
+is checked on its own against the images taken tuple by tuple."""
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product as iterprod
 
 import pytest
@@ -23,7 +25,8 @@ from finalg import (
     stabilized_term_images,
 )
 from finalg.catalog import cyclic_ring
-from finalg.closure import Closures, _chunk_keys, _close, _images, _translation_tables
+from finalg.algebra import _bits
+from finalg.closure import Closures, _close, _fold
 from finalg.errors import SizeOverflow
 
 
@@ -39,7 +42,8 @@ def _square_support(n: int, pairs) -> ElementSet:
 @st.composite
 def algebras_with_pairs(draw):
     n = draw(st.integers(1, 4))
-    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    # quaternary ops only up to n = 3: the square's table has (n^2)^4 entries
+    arities = draw(st.lists(st.integers(0, 4 if n <= 3 else 3), min_size=1, max_size=3))
     tables = {
         f"f{i}": draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
         for i, k in enumerate(arities)
@@ -51,13 +55,12 @@ def algebras_with_pairs(draw):
 
 
 def _assert_tables_below_square(alg):
+    # one mask per entry of the op's own table: n^k, not the square's (n^2)^k
     n = alg.size
-    unary, wider = _translation_tables(alg)
-    for _, bits in unary:
-        assert len(bits) == n < n * n
-    for arity, _, tables in wider:
-        assert len(tables) == n ** (arity - 1)
-        assert sum(map(len, tables)) < (n * n) ** arity
+    for (_, arity, table), (k, same, bits) in zip(alg.ops(), Closures(alg)._tables, strict=True):
+        assert (k, same) == (arity, table)
+        assert len(bits) == n ** k
+        assert bits == [1 << v for v in table]
 
 
 @settings(max_examples=300)
@@ -71,8 +74,7 @@ def test_equals_term_enumeration_on_the_square(case):
     assert rel.is_reflexive()
     assert is_compatible(alg, rel)
     assert all(pair in rel for pair in pairs)
-    if n > 1:  # one element: the kernel returns the diagonal without tables
-        _assert_tables_below_square(alg)
+    _assert_tables_below_square(alg)
 
 
 def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
@@ -91,7 +93,7 @@ def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
 def _relabelled(n: int, ops, seed: int):
     """The algebra on {0..n-1} with the given (name, arity, fn) ops, its
     elements renamed by a seeded permutation so that the bits of one class
-    spread over every chunk."""
+    spread over the whole row."""
     perm = list(range(n))
     random.Random(f"relabel/{n}/{seed}").shuffle(perm)
     inv = [0] * n
@@ -102,17 +104,21 @@ def _relabelled(n: int, ops, seed: int):
     return make_algebra([(name, k) for name, k, _ in ops], n, tables)
 
 
-def _gated_middle_successor(n: int):
-    """g(a, b, c) = b + 1 mod n when (a, c) = (0, n - 1), else 0: each new
-    pair has one derivation, through a tuple whose only changed row is the
-    middle one."""
-    return _relabelled(
-        n, [("g", 3, lambda a, b, c: (b + 1) % n if (a, c) == (0, n - 1) else 0)], n)
+def _gated_successor(n: int, k: int, p: int):
+    """g(a1..ak) = a_p + 1 mod n when every coordinate before p is 0 and
+    every one after it n - 1, else 0: each new pair has one derivation,
+    through a tuple whose only changed row is at p."""
+    gate = (0,) * p + (n - 1,) * (k - 1 - p)
+
+    def g(*args):
+        return (args[p] + 1) % n if args[:p] + args[p + 1:] == gate else 0
+
+    return _relabelled(n, [("g", k, g)], n)
 
 
 def _fixed_cases():
-    # binary and unary ops up to 17 elements (three chunks), ternary ones up
-    # to 9 (two chunks), where the square's ternary table stays affordable.
+    # binary and unary ops up to 17 elements, ternary ones up to 9, where
+    # the square's ternary table stays affordable.
     # Random tables mostly generate the full relation; the sparse and the
     # structured algebras carry proper semicongruences.
     for n in (7, 8, 9, 16, 17):
@@ -134,7 +140,7 @@ def _fixed_cases():
                 n, [("mal", 3, lambda a, b, c: (a - b + c) % n), ("neg", 1, lambda a: -a % n)], n)
         yield f"z{n}-last-successor", _relabelled(
             n, [("succ", 3, lambda a, b, c: (c + 1) % n)], n)
-        yield f"z{n}-gated-middle-successor", _gated_middle_successor(n)
+        yield f"z{n}-gated-middle-successor", _gated_successor(n, 3, 1)
     yield "z9-ring", cyclic_ring(9).algebra
 
 
@@ -153,10 +159,33 @@ def test_equals_worklist_closure_on_the_square(alg):
         assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
 
 
+def _quaternary_cases():
+    # n <= 3 keeps the square's quaternary table at 6,561 entries; the gated
+    # successors need every first changed coordinate
+    for n in (2, 3):
+        for p in range(4):
+            yield f"n{n}-gated-successor-{p}", _gated_successor(n, 4, p)
+        yield f"n{n}-random-quaternary-unary", _random_algebra(n, (4, 1), n)
+        yield f"n{n}-sparse-quaternary", _random_algebra(n, (4,), n, sparse=True)
+
+
+QUATERNARY = list(_quaternary_cases())
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in QUATERNARY],
+                         ids=[name for name, _ in QUATERNARY])
+def test_quaternary_ops_equal_term_enumeration_on_the_square(alg):
+    n = alg.size
+    square = product_square(alg)
+    for pairs in [[pair] for pair in iterprod(range(n), repeat=2)] + [[(1, 0), (0, n - 1)]]:
+        enum = stabilized_term_images(square, _square_support(n, pairs))
+        assert semicongruence_generated(alg, pairs) == BinRel.from_support(enum, n), pairs
+
+
 def test_gated_middle_successor_from_every_pair():
     # the fixed pair lists above name elements up to 8, so n = 4 runs here
     n = 4
-    alg = _gated_middle_successor(n)
+    alg = _gated_successor(n, 3, 1)
     square = product_square(alg)
     for pair in iterprod(range(n), repeat=2):
         expected = generate_subalgebra(square, _square_support(n, [pair]))
@@ -215,17 +244,25 @@ def test_translation_tables_never_exceed_the_square(alg):
 
 @fixed_algebras
 def test_translation_tables_give_exact_images(alg):
+    # the fold through each op's bit table against f(R[a1] x ... x R[ak]),
+    # tuple by tuple, on random pools and random rows; a kernel row is
+    # never empty, and an op of arity 0 is never folded
     n = alg.size
-    rng = random.Random(f"images/{n}")
-    masks = [0, (1 << n) - 1] + [1 << x for x in range(n)]
-    masks += [rng.getrandbits(n) for _ in range(20)]
-    keys = _chunk_keys(masks, n)
-    for table, bits in _translation_tables(alg)[0]:
-        assert bits == [1 << table[x] for x in range(n)]
-    for _, table, tables in _translation_tables(alg)[1]:
-        for p, prefix_table in enumerate(tables):
-            want = [sum({1 << table[p * n + x] for x in range(n) if m >> x & 1}) for m in masks]
-            assert _images(prefix_table, keys) == want, p
+    rng = random.Random(f"fold/{n}")
+
+    def index(args):
+        return reduce(lambda i, a: i * n + a, args, 0)
+
+    for k, table, bits in Closures(alg)._tables:
+        if not k:
+            continue
+        for _ in range(3):
+            row_bits = [list(_bits(rng.getrandbits(n) | 1 << rng.randrange(n))) for _ in range(n)]
+            pools = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(k)]
+            want = [(index(args), sum({1 << table[index(bs)]
+                                       for bs in iterprod(*(row_bits[a] for a in args))}))
+                    for args in iterprod(*pools)]
+            assert list(_fold(bits, pools, row_bits, n)) == want, pools
 
 
 def test_oversized_carrier_still_overflows():

@@ -71,10 +71,12 @@ class TestKernelRuns:
     # one pair, the stage iterate steps on from, the diagonal) already holds
     # all its pairs; the suite's own checks, its ranks and its
     # semicongruence_generated calls share one kept Closures per entry
-    @pytest.mark.parametrize("name, runs", [
+    RUNS = [
         ("subtractive", 18), ("jonsson-tarski", 18), ("maltsev", 60), ("rank0", 11),
         ("theorem-c", 54), ("term-oracle", 54), ("semiring", 18),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, runs", RUNS, ids=[name for name, _ in RUNS])
     def test_kernel_runs_per_suite(self, name, runs, monkeypatch):
         closes = []
         close = closure._close
