@@ -12,7 +12,7 @@ from finalg import (
     parse_algebra_file,
     render_algebra,
 )
-from finalg.errors import DuplicateSymbol, ParseError, ValueOutOfRange
+from finalg.errors import DuplicateSymbol, EngineError, ParseError, ValueOutOfRange
 
 Z2_TEXT = "algebra z2\nsize 2\nop add 2\n0 1 1 0\nconst zero 0\ntop 0\nend"
 
@@ -136,6 +136,77 @@ class TestDiagnostics:
     def test_truncated_table(self):
         with pytest.raises(ParseError):
             parse_algebra("algebra a\nsize 2\nop f 2\n0 1 1\nend")
+
+
+class TestExactDiagnostics:
+    """The exception type and its full message, `line:col` included."""
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            pytest.param(
+                "algebra a\nsize 3\nop f 2\n0 1 2\n# note\n1 x 0\n2 0 1\nend\n",
+                ParseError, "6:3: expected table entry, found 'x'",
+                id="non-integer-after-comment-line",
+            ),
+            pytest.param(
+                "algebra a\nsize 3\nop f 1\n0 0 7\nend\n",
+                ValueOutOfRange, "4:5: table entry 7 outside carrier of size 3",
+                id="out-of-range-after-repeated-token",
+            ),
+            pytest.param(
+                "algebra a\nsize 3\nop f 1\n0 1\nend\n",
+                ParseError, "5:1: expected table entry, found 'end'",
+                id="keyword-inside-table",
+            ),
+            pytest.param(
+                "algebra a\nsize 2\nop f 2\n0 1\n1",
+                ParseError, "5:2: unexpected end of input (at end of input)",
+                id="end-of-input-inside-table",
+            ),
+            pytest.param(
+                "algebra a\nsize 2\nop f 2\n0 1\n1 # 0\nend\n",
+                ParseError, "5:3: expected table entry, found '#'",
+                id="hash-inside-line-is-a-token",
+            ),
+            pytest.param(
+                "algebra a\nsize 2\n  # c\nop f 1\n1 0 # x\nend\n",
+                ParseError, "5:5: expected 'op', 'const', 'top' or 'end', found '#'",
+                id="hash-after-table",
+            ),
+            pytest.param(
+                "algebra a\nsize 2\nop f 2\n\t0\t1\n\t1\t9\nend\n",
+                ValueOutOfRange, "5:4: table entry 9 outside carrier of size 2",
+                id="tab-indented-rows",
+            ),
+            pytest.param(
+                "algebra a\nsize 4\nop f 1\n+1 \u0663 1_0 0\nend\n",
+                ValueOutOfRange, "4:6: table entry 10 outside carrier of size 4",
+                id="entry-read-by-int",
+            ),
+        ],
+    )
+    def test_refusal(self, text, kind, message):
+        with pytest.raises(EngineError) as exc:
+            parse_algebra(text)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+
+    def test_tab_indented_rows_parse(self):
+        alg = parse_algebra("algebra a\nsize 2\nop f 2\n\t0\t1\n\t1\t0\nend\n")
+        assert alg.tables == ((0, 1, 1, 0),)
+
+    def test_entries_read_by_int(self):
+        alg = parse_algebra("algebra a\nsize 4\nop f 1\n+1 \u0663 0 0_1\nend\n")
+        assert alg.tables == ((1, 3, 0, 1),)
+
+
+class TestMakeAlgebraRefusals:
+    @pytest.mark.parametrize("table, first", [([2, 7, -3], 7), ([2, -3, 7], -3)])
+    def test_names_first_bad_entry(self, table, first):
+        with pytest.raises(ValueOutOfRange) as exc:
+            make_algebra([("f", 1)], 3, {"f": table})
+        assert str(exc.value) == f"table entry {first} outside carrier of size 3"
 
 
 class TestRendering:

@@ -9,18 +9,28 @@ Every rank in that part of the catalog is at most 1, so each fixpoint digest
 equals its one-step digest. Chains of two or more growth steps are pinned
 over the n <= 8 catalog: the deduction fixpoint of every subset of the
 saturating monoids of rank 2 or more, both rank modes per algebra, and all
-suites at --limit 6.
+suites at --limit 6. The parser's refusals are pinned by the outcomes of
+seeded mutations of the rendered n <= 4 catalog.
 """
 from __future__ import annotations
 
 import hashlib
 import io
+import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from finalg import SUITE_NAMES, build_catalog, render_algebra, subsets_in_order
+from finalg import (
+    SUITE_NAMES,
+    build_catalog,
+    parse_algebra_file,
+    render_algebra,
+    subsets_in_order,
+)
 from finalg.cli import main
+from finalg.errors import EngineError
 
 CATALOG_DIGEST = "61b3a420186202442cbcc0d7bed1c2cca66c2cbb5acd0ae5e1cf28a745c35cbe"
 
@@ -44,6 +54,14 @@ MULTISTEP_FIXPOINT_DIGEST = "e19eacc3ef311c2fcff751e68db332afc384819dbefab4e412c
 RANK_8_DIGEST = "3b2c29d32b12dd1723b2fc73ee3150ef6b7d3c894a33d9b24b23d4d0b18d08de"
 # its summaries include FAIL theorem-b 961 369 and FAIL theorem-c 9610 6
 VERIFY_LIMIT_6_DIGEST = "8b42974ecf7a34aed045b0a99e9ae52831aa94f7964dea4c3a5cee63fd917f60"
+
+# parsed file or exception type and message of each seeded mutation
+MUTATIONS = 2000
+MUTATION_TOKENS = (
+    "x", "7", "-1", "0 0 7", "end", "op", "op g 1", "top 0", "const k 1",
+    "#", "# note\n", "\n  # note\n", "+1", "1_0", "\u0663", "\t", "\n", "0",
+)
+PARSE_MUTATION_DIGEST = "9da94ed15cbce8e5c1efd8b5b81ab24a20cc4f182d72ae90980a7575e34dc0c1"
 
 
 def _digest(calls) -> str:
@@ -118,3 +136,33 @@ def test_rank_8_digest(files_8):
 def test_verify_limit_6_digest():
     calls = (("verify", "--suite", suite, "--limit", "6") for suite in SUITE_NAMES)
     assert _digest(calls) == VERIFY_LIMIT_6_DIGEST
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Insert a token, delete a token or truncate the text."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        at = rng.randrange(len(text) + 1)
+        sep = rng.choice((" ", "\t", "\n", ""))
+        return text[:at] + sep + rng.choice(MUTATION_TOKENS) + sep + text[at:]
+    words = [m.span() for m in re.finditer(r"\S+", text)]
+    if kind == 1 and words:
+        start, stop = rng.choice(words)
+        return text[:start] + text[stop:]
+    return text[: rng.randrange(len(text) + 1)]
+
+
+def test_parse_mutation_digest():
+    texts = [render_algebra(e.name, e.algebra) for e in build_catalog(4)]
+    rng = random.Random(13)
+    h = hashlib.sha256()
+    for _ in range(MUTATIONS):
+        text = rng.choice(texts)
+        for _ in range(rng.randrange(1, 3)):
+            text = _mutate(rng, text)
+        try:
+            outcome = repr(parse_algebra_file(text))
+        except EngineError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        h.update(f"{outcome}\0".encode())
+    assert h.hexdigest() == PARSE_MUTATION_DIGEST
