@@ -212,14 +212,14 @@ def make_algebra(
     for name, arity in sig.symbols:
         if name not in tables:
             raise ArityMismatch(f"no table for operation {name!r}")
-        table = tuple(int(v) for v in tables[name])
+        table = tuple(map(int, tables[name]))
         if len(table) != size**arity:
             raise ArityMismatch(
                 f"table for {name!r} has {len(table)} entries, expected {size**arity}"
             )
-        for v in table:
-            if not 0 <= v < size:
-                raise ValueOutOfRange(f"table entry {v} outside carrier of size {size}")
+        if min(table) < 0 or max(table) >= size:
+            bad = next(v for v in table if not 0 <= v < size)
+            raise ValueOutOfRange(f"table entry {bad} outside carrier of size {size}")
         aligned.append(table)
     if top is not None and not 0 <= top < size:
         raise ValueOutOfRange(f"top element {top} outside carrier of size {size}")

@@ -31,14 +31,18 @@ class AlgebraFile:
     algebra: FiniteAlgebra
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+def _words(text: str) -> list[str]:
+    """The tokens: whitespace-separated words of every non-comment line."""
+    return [
+        word
+        for line in text.splitlines()
+        if not line.lstrip().startswith("#")
+        for word in line.split()
+    ]
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _positions(text: str) -> list[tuple[int, int]]:
+    """(line, col) of every token of `_words`; only an error needs them."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
@@ -46,63 +50,79 @@ def _tokenize(text: str) -> list[_Token]:
         col = 0
         for piece in line.split():
             col = line.index(piece, col)
-            out.append(_Token(piece, lineno, col + 1))
+            out.append((lineno, col + 1))
             col += len(piece)
     return out
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.words = _words(text)
         self.pos = 0
 
-    def _error(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return ParseError(message, tok.line, tok.col)
-        if self.tokens:
-            last = self.tokens[-1]
-            return ParseError(message + " (at end of input)", last.line, last.col + len(last.text))
-        return ParseError(message + " (empty input)", 1, 1)
+    def _error(self, message: str, at: int | None = None,
+               kind=ParseError) -> ParseError | ValueOutOfRange:
+        """A `kind` error at token `at` (default: the next one), with its line:col."""
+        at = self.pos if at is None else at
+        if at < len(self.words):
+            return kind(message, *_positions(self.text)[at])
+        if self.words:
+            line, col = _positions(self.text)[-1]
+            return kind(message + " (at end of input)", line, col + len(self.words[-1]))
+        return kind(message + " (empty input)", 1, 1)
+
+    def _last(self, message: str, kind=ParseError) -> ParseError | ValueOutOfRange:
+        """A `kind` error at the token just taken."""
+        return self._error(message, self.pos - 1, kind)
 
     def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos].text
+        if self.pos < len(self.words):
+            return self.words[self.pos]
         return None
 
-    def take(self) -> _Token:
-        if self.pos >= len(self.tokens):
+    def take(self) -> str:
+        if self.pos >= len(self.words):
             raise self._error("unexpected end of input")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.words[self.pos - 1]
 
     def expect(self, keyword: str) -> None:
-        tok = self.take()
-        if tok.text != keyword:
-            raise ParseError(f"expected {keyword!r}, found {tok.text!r}", tok.line, tok.col)
+        word = self.take()
+        if word != keyword:
+            raise self._last(f"expected {keyword!r}, found {word!r}")
 
     def name(self, what: str) -> str:
-        tok = self.take()
-        if tok.text in _KEYWORDS:
-            raise ParseError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        word = self.take()
+        if word in _KEYWORDS:
+            raise self._last(f"expected {what}, found keyword {word!r}")
+        return word
 
-    def integer(self, what: str) -> tuple[int, _Token]:
-        tok = self.take()
+    def integer(self, what: str) -> int:
+        word = self.take()
         try:
-            return int(tok.text), tok
+            return int(word)
         except ValueError:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col) from None
+            raise self._last(f"expected {what}, found {word!r}") from None
 
     def element(self, what: str, label: str, size: int) -> int:
         """An integer that must name an element of a carrier of this size."""
-        value, tok = self.integer(what)
+        value = self.integer(what)
         if not 0 <= value < size:
-            raise ValueOutOfRange(
-                f"{label} {value} outside carrier of size {size}", tok.line, tok.col
-            )
+            raise self._last(f"{label} {value} outside carrier of size {size}", ValueOutOfRange)
         return value
+
+    def table(self, size: int, count: int) -> list[int]:
+        """The next `count` tokens as table entries, read and checked as one slice;
+        on any fault `element` re-reads them and raises the first error."""
+        try:
+            values = list(map(int, self.words[self.pos : self.pos + count]))
+        except ValueError:
+            values = []
+        if len(values) == count and 0 <= min(values) and max(values) < size:
+            self.pos += count
+            return values
+        return [self.element("table entry", "table entry", size) for _ in range(count)]
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
@@ -111,9 +131,9 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     p.expect("algebra")
     name = p.name("algebra name")
     p.expect("size")
-    size, size_tok = p.integer("carrier size")
+    size = p.integer("carrier size")
     if size < 1:
-        raise ParseError("carrier size must be at least 1", size_tok.line, size_tok.col)
+        raise p._last("carrier size must be at least 1")
     symbols: list[tuple[str, int]] = []
     tables: dict[str, list[int]] = {}
     top: int | None = None
@@ -127,32 +147,27 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         if word == "op":
             p.take()
             op_name = p.name("operation name")
-            arity, arity_tok = p.integer("arity")
+            arity = p.integer("arity")
             if arity < 0:
-                raise ParseError("arity must be non-negative", arity_tok.line, arity_tok.col)
+                raise p._last("arity must be non-negative")
             symbols.append((op_name, arity))
-            tables[op_name] = [p.element("table entry", "table entry", size)
-                               for _ in range(size**arity)]
+            tables[op_name] = p.table(size, size**arity)
         elif word == "const":
             p.take()
             const_name = p.name("constant name")
             symbols.append((const_name, 0))
             tables[const_name] = [p.element("constant value", "constant", size)]
         elif word == "top":
-            tok_kw = p.take()
+            at = p.pos
+            p.take()
             value = p.element("top element", "top element", size)
             if top is not None:
-                raise ParseError("top declared twice", tok_kw.line, tok_kw.col)
+                raise p._error("top declared twice", at)
             top = value
         else:
-            tok = p.take()
-            raise ParseError(
-                f"expected 'op', 'const', 'top' or 'end', found {tok.text!r}",
-                tok.line, tok.col,
-            )
+            raise p._error(f"expected 'op', 'const', 'top' or 'end', found {word!r}")
     if p.peek() is not None:
-        tok = p.take()
-        raise ParseError(f"trailing content after 'end': {tok.text!r}", tok.line, tok.col)
+        raise p._error(f"trailing content after 'end': {p.peek()!r}")
     algebra = make_algebra(Signature.of(*symbols), size, tables, top)
     return AlgebraFile(name, algebra)
 
