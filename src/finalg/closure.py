@@ -10,11 +10,13 @@ algebra, keyed by its generating pairs, and grows each from a kept one.
 """
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from sys import byteorder
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra, _bits
 from .errors import SizeOverflow, ValueOutOfRange
@@ -43,33 +45,44 @@ def semicongruence_generated(
     return BinRel(algebra.size, closures._rows_of(seed))
 
 
-def _or_slices(x: list[int], y: list[int]) -> list[int]:
-    return list(map(or_, x, y))
+def _lane(n: int) -> str:
+    """Array typecode of the narrowest lane, 8 to 64 bits, that holds an
+    n-bit mask."""
+    return "BHIQ"[(n > 8) + (n > 16) + (n > 32)]
 
 
-def _fold(bits: list[int], pools: list[Sequence[int]], row_bits: list[list[int]],
-          n: int) -> Iterator[tuple[int, int]]:
-    """(index, image) of every argument tuple in the product of `pools`,
-    one pool per coordinate: the table index of the tuple (a1..ak) and the
-    mask of the f(b1..bk), each bj in row ai, where bits[i] = 1 << f's
-    entry i and row_bits[a] lists the (never empty) row of a.
+def _cut(raw: bytes, n: int) -> list[int]:
+    """`raw` cut into n equal parts, each read as one int of its lanes, in
+    the native byte order that `array` writes and `memoryview.cast` reads."""
+    step = len(raw) // n
+    return [int.from_bytes(raw[i:i + step], byteorder) for i in range(0, len(raw), step)]
 
-    Left to right, folding a coordinate over its pool replaces each list L
-    by one list per a in the pool, the elementwise OR over b in row a of
-    the b-th of L's n slices; the last coordinate ORs single masks."""
-    offsets, level = [0], [bits]
-    for depth, pool in enumerate(pools, 1):
-        width = n ** (len(pools) - depth)
-        last = depth == len(pools)
-        join = or_ if last else _or_slices
+
+def _fold(table: Sequence[int], slices: list[int], pools: list[Sequence[int]],
+          row_bits: list[list[int]], gained: list[int], fmt: str) -> None:
+    """OR into gained[f(a1..ak)] the mask of f(b1..bk), each bj in row aj,
+    for every argument tuple in the product of `pools`, one pool per
+    coordinate, where f has `table` and row_bits[a] lists the (never empty)
+    row of a. slices[b] packs f's entries b*n^(k-1) .. (b+1)*n^(k-1) - 1,
+    entry j at lane j as 1 << entry, in lanes of typecode `fmt`.
+
+    Left to right, folding a coordinate over its pool replaces the n slices
+    of each prefix by one int per a in the pool, the OR over b in row a of
+    slice b, cut again into n slices: at the last coordinate n single lanes,
+    the masks whose rows are ORed into gained at the prefix's entries."""
+    n, k = len(row_bits), len(pools)
+    offsets, level = [0], [slices]
+    for depth, pool in enumerate(pools[:-1], 1):
+        size = n ** (k - depth) * array(fmt).itemsize
         offsets = [o * n + a for o in offsets for a in pool]
-        folded: list = []
-        for flat in level:
-            get = flat.__getitem__ if last else [
-                flat[b:b + width] for b in range(0, len(flat), width)].__getitem__
-            folded += [reduce(join, map(get, row_bits[a])) for a in pool]
-        level = folded
-    return zip(offsets, level)
+        packed = [reduce(or_, map(cut.__getitem__, row_bits[a]))
+                  .to_bytes(size, byteorder) for cut in level for a in pool]
+        level = [memoryview(raw).cast(fmt).tolist() if depth == k - 1 else _cut(raw, n)
+                 for raw in packed]
+    for o, lanes in zip(offsets, level):
+        targets = table[o * n:o * n + n]
+        for a in pools[-1]:
+            gained[targets[a]] |= reduce(or_, map(lanes.__getitem__, row_bits[a]))
 
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
@@ -84,12 +97,13 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The tuples whose first
     changed coordinate is i range over unchanged^i x changed x
     everything^(k-1-i), so each tuple with a changed row is taken once.
-    `_fold` gives their images.
+    `_fold` adds their images.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
     in `base`, which is compatible."""
     n = closures.algebra.size
+    fmt = _lane(n)
     is_changed = [r != b for r, b in zip(rows, base)]
     everything = range(n)
     row_bits = [list(_bits(b)) for b in base]
@@ -99,11 +113,10 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
         for a in changed:
             row_bits[a] = list(_bits(rows[a]))
         gained = [0] * n
-        for k, table, bits in closures._tables:
+        for k, table, slices in closures._tables:
             for i in range(k):
                 pools = [unchanged] * i + [changed] + [everything] * (k - 1 - i)
-                for index, image in _fold(bits, pools, row_bits, n):
-                    gained[table[index]] |= image
+                _fold(table, slices, pools, row_bits, gained, fmt)
         is_changed = [g & ~r != 0 for g, r in zip(gained, rows)]
         if not any(is_changed):
             return tuple(rows)
@@ -189,11 +202,13 @@ class Closures:
 
     @cached_property
     def _tables(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
-        """Per op, the kernel's input: its arity k, its table and its bit
-        table, entry i the mask 1 << table[i] (n^k entries); built on the
-        kernel's first run."""
-        bit = [1 << v for v in range(self.algebra.size)]
-        return tuple((k, table, [bit[v] for v in table]) for _, k, table in self.algebra.ops())
+        """Per op, the kernel's input: its arity k, its table and its n
+        packed slices (none at arity 0), lane i of slices[b] the mask
+        1 << table[b * n^(k-1) + i]; built on the kernel's first run."""
+        n = self.algebra.size
+        fmt = _lane(n)
+        return tuple((k, table, _cut(array(fmt, [1 << v for v in table]).tobytes(), n) if k else [])
+                     for _, k, table in self.algebra.ops())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair
@@ -231,7 +246,7 @@ class Closures:
             _check_top(self.algebra, top)
             if mask < 0 or mask >> n:
                 raise ValueOutOfRange("bitmask exceeds carrier size")
-            seed, base = (sum(1 << (x * n + top) for x in _bits(m)) for m in (mask, base))
+            seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
             rows = self._rows_of(seed, base)
             image = _left_mask if mode == "induction" else _right_mask
             got = memo[mask] = image(rows, mask)

@@ -320,6 +320,25 @@ class TestClosuresCache:
             assert closures._step("deduction", alg.top, mask) == \
                 right_image(rel, subset).mask
 
+    def test_step_seeds_are_the_pairs_with_top(self):
+        # a mask and its base become seeds with member x at bit x * n + top:
+        # every mask and top for n <= 6, random masks and 0 at n = 33 and 64
+        rng = random.Random("step-seeds")
+        for n in (*range(1, 7), 33, 64):
+            full = (1 << n) - 1
+            alg = make_algebra([("f", 1)], n, {"f": list(range(n))})
+            masks = range(full + 1) if n <= 6 else \
+                dict.fromkeys([0, full, *(rng.getrandbits(n) for _ in range(40))])
+            for top in range(n) if n <= 6 else (0, rng.randrange(n), n - 1):
+                closures, calls = Closures(alg), []
+                diagonal = closures._rows[0]
+                closures._rows_of = lambda seed, base: calls.append((seed, base)) or diagonal
+                bases = [rng.getrandbits(n) for _ in masks]
+                for mask, base in zip(masks, bases):
+                    closures._step("induction", top, mask, base)
+                assert calls == [tuple(sum(1 << (x * n + top) for x in range(n) if m >> x & 1)
+                                       for m in pair) for pair in zip(masks, bases)], (n, top)
+
     def test_refusals(self):
         alg = by_name("z4-monoid")
         with pytest.raises(ValueOutOfRange):

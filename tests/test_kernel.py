@@ -3,12 +3,14 @@ square A x A: term enumeration on random small algebras and on quaternary
 ops, the worklist closure on fixed algebras of up to 17 elements and on
 random algebras grown from a closed base; at the carrier limit n = 64, the
 worklist closure or a closed form. The fold that gives the kernel's images
-is checked on its own against the images taken tuple by tuple."""
+is checked on its own against the images taken tuple by tuple, also at the
+carrier sizes where the width of its packed lanes changes."""
 from __future__ import annotations
 
 import random
 from functools import reduce
 from itertools import product as iterprod
+from sys import byteorder
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from finalg import (
 )
 from finalg.catalog import cyclic_ring
 from finalg.algebra import _bits
-from finalg.closure import Closures, _close, _fold
+from finalg.closure import Closures, _close, _fold, _lane
 from finalg.errors import SizeOverflow
 
 
@@ -55,12 +57,24 @@ def algebras_with_pairs(draw):
 
 
 def _assert_tables_below_square(alg):
-    # one mask per entry of the op's own table: n^k, not the square's (n^2)^k
+    # per op of arity k >= 1, n slices of n^(k-1) lanes: n^k lanes in all,
+    # lane i the mask 1 << table[i], nothing of the square's (n^2)^k size;
+    # a lane is the narrowest of 8, 16, 32 and 64 bits that holds n bits
     n = alg.size
-    for (_, arity, table), (k, same, bits) in zip(alg.ops(), Closures(alg)._tables, strict=True):
+    width = next(w for w in (8, 16, 32, 64) if w >= n) // 8
+    for (_, arity, table), (k, same, slices) in zip(alg.ops(), Closures(alg)._tables, strict=True):
         assert (k, same) == (arity, table)
-        assert len(bits) == n ** k
-        assert bits == [1 << v for v in table]
+        if not k:
+            assert slices == []
+            continue
+        assert len(slices) == n
+        per, lanes = n ** (k - 1), []
+        for cut in slices:
+            raw = cut.to_bytes(per * width, byteorder)  # OverflowError past the last lane
+            lanes += [int.from_bytes(raw[j:j + width], byteorder)
+                      for j in range(0, len(raw), width)]
+        assert len(lanes) == n ** k
+        assert lanes == [1 << v for v in table]
 
 
 @settings(max_examples=300)
@@ -242,27 +256,73 @@ def test_translation_tables_never_exceed_the_square(alg):
     _assert_tables_below_square(alg)
 
 
-@fixed_algebras
-def test_translation_tables_give_exact_images(alg):
-    # the fold through each op's bit table against f(R[a1] x ... x R[ak]),
-    # tuple by tuple, on random pools and random rows; a kernel row is
-    # never empty, and an op of arity 0 is never folded
+def _assert_fold_exact(alg, rng, members=None):
+    # the fold through each op's packed slices against f(R[a1] x ... x R[ak]),
+    # on random pools and rows (`members` bits each, else dense): tuple by
+    # tuple, each folded alone, then the whole product at once; a kernel row
+    # is never empty, and an op of arity 0 is never folded
     n = alg.size
-    rng = random.Random(f"fold/{n}")
 
     def index(args):
         return reduce(lambda i, a: i * n + a, args, 0)
 
-    for k, table, bits in Closures(alg)._tables:
+    def row():
+        if members:
+            return sorted(rng.sample(range(n), rng.randint(1, members)))
+        return list(_bits(rng.getrandbits(n) | 1 << rng.randrange(n)))
+
+    for k, table, slices in Closures(alg)._tables:
         if not k:
             continue
         for _ in range(3):
-            row_bits = [list(_bits(rng.getrandbits(n) | 1 << rng.randrange(n))) for _ in range(n)]
+            row_bits = [row() for _ in range(n)]
             pools = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(k)]
-            want = [(index(args), sum({1 << table[index(bs)]
-                                       for bs in iterprod(*(row_bits[a] for a in args))}))
-                    for args in iterprod(*pools)]
-            assert list(_fold(bits, pools, row_bits, n)) == want, pools
+            want = [0] * n
+            for args in iterprod(*pools):
+                image = sum({1 << table[index(bs)]
+                             for bs in iterprod(*(row_bits[a] for a in args))})
+                alone = [0] * n
+                _fold(table, slices, [[a] for a in args], row_bits, alone, _lane(n))
+                assert alone == [image if x == table[index(args)] else 0 for x in range(n)], args
+                want[table[index(args)]] |= image
+            gained = [0] * n
+            _fold(table, slices, pools, row_bits, gained, _lane(n))
+            assert gained == want, pools
+
+
+@fixed_algebras
+def test_translation_tables_give_exact_images(alg):
+    _assert_fold_exact(alg, random.Random(f"fold/{alg.size}"))
+
+
+def _lane_cases():
+    # the sizes where the lane's width or typecode changes; every table holds
+    # 0 and n - 1, so the top bit of the lane is folded
+    for n in (8, 9, 16, 17, 32, 33, 64):
+        for k in (1, 2, 3) if n <= 9 else (1, 2):
+            rng = random.Random(f"lanes/{n}/{k}")
+            table = [rng.choice((0, n - 1, rng.randrange(n))) for _ in range(n**k)]
+            table[:2] = [0, n - 1]
+            yield f"n{n}-arity{k}", make_algebra([("f", k)], n, {"f": table})
+
+
+LANES = list(_lane_cases())
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in LANES], ids=[name for name, _ in LANES])
+def test_fold_is_exact_at_lane_boundaries(alg):
+    # sparse rows keep the tuple-by-tuple product small at n = 64; on full
+    # rows every image is the mask of all table values, whose bit n - 1 is
+    # the top bit of a lane (1 << 63 at n = 64)
+    n = alg.size
+    _assert_tables_below_square(alg)
+    _assert_fold_exact(alg, random.Random(f"fold-lanes/{n}"), members=4)
+    (k, table, slices), = Closures(alg)._tables
+    gained = [0] * n
+    _fold(table, slices, [range(n)] * k, [list(range(n))] * n, gained, _lane(n))
+    every = sum(1 << v for v in set(table))
+    assert every >> (n - 1) == 1
+    assert gained == [every if x in table else 0 for x in range(n)]
 
 
 def test_oversized_carrier_still_overflows():
