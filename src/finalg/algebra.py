@@ -266,11 +266,8 @@ def product_square(
     n2 = n * n
     tables = []
     for _, arity, table in algebra.ops():
-        if arity == 0:
-            c = table[0]
-            tables.append((c * n + c,))
-            continue
         out = []
+        # a constant's one, empty, argument tuple gives the pair (c, c)
         for pairs in iterprod(range(n2), repeat=arity):
             left = 0
             right = 0

@@ -5,6 +5,7 @@ members."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .algebra import ENUMERATION_LIMIT, FiniteAlgebra, make_algebra
 from .errors import ValueOutOfRange
@@ -22,12 +23,8 @@ class CatalogEntry:
     jonsson_tarski_symbol: str | None = None
 
 
-def _binary(n: int, fn) -> tuple[int, ...]:
-    return tuple(fn(a, b) for a in range(n) for b in range(n))
-
-
-def _ternary(n: int, fn) -> tuple[int, ...]:
-    return tuple(fn(a, b, c) for a in range(n) for b in range(n) for c in range(n))
+def _table(n: int, arity: int, fn) -> tuple[int, ...]:
+    return tuple(starmap(fn, product(range(n), repeat=arity)))
 
 
 def _entry(name: str, kind: str, n: int, symbols, tables: dict, top: int, **tags) -> CatalogEntry:
@@ -39,7 +36,7 @@ def _entry(name: str, kind: str, n: int, symbols, tables: dict, top: int, **tags
 def _monoid(name: str, n: int, add) -> CatalogEntry:
     """Commutative monoid on 0..n-1 with identity 0."""
     return _entry(
-        name, "monoid", n, (("add", 2), ("zero", 0)), {"add": _binary(n, add), "zero": [0]}, 0,
+        name, "monoid", n, (("add", 2), ("zero", 0)), {"add": _table(n, 2, add), "zero": [0]}, 0,
         monoid_symbols=("add", "zero"), jonsson_tarski_symbol="add",
     )
 
@@ -57,10 +54,10 @@ _GROUP_SYMBOLS = (("add", 2), ("neg", 1), ("sub", 2), ("mal", 3))
 
 def _group_tables(n: int) -> dict:
     return {
-        "add": _binary(n, lambda a, b: (a + b) % n),
+        "add": _table(n, 2, lambda a, b: (a + b) % n),
         "neg": tuple((-a) % n for a in range(n)),
-        "sub": _binary(n, lambda a, b: (a - b) % n),
-        "mal": _ternary(n, lambda a, b, c: (a - b + c) % n),
+        "sub": _table(n, 2, lambda a, b: (a - b) % n),
+        "mal": _table(n, 3, lambda a, b, c: (a - b + c) % n),
         "zero": [0],
     }
 
@@ -80,7 +77,7 @@ def cyclic_group(n: int) -> CatalogEntry:
 
 def cyclic_ring(n: int) -> CatalogEntry:
     symbols = _GROUP_SYMBOLS + (("mul", 2), ("zero", 0), ("one", 0))
-    tables = {"mul": _binary(n, lambda a, b: (a * b) % n), "one": [1 % n]}
+    tables = {"mul": _table(n, 2, lambda a, b: (a * b) % n), "one": [1 % n]}
     return _abelian("ring", n, symbols, tables)
 
 
@@ -96,7 +93,7 @@ def _semiring(name: str, n: int, add, mul, zero: int, one: int) -> CatalogEntry:
     """Semiring on 0..n-1 with top `zero`, the additive identity."""
     return _entry(
         name, "semiring", n, (("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
-        {"add": _binary(n, add), "mul": _binary(n, mul), "zero": [zero], "one": [one]}, zero,
+        {"add": _table(n, 2, add), "mul": _table(n, 2, mul), "zero": [zero], "one": [one]}, zero,
         semiring_symbols=("add", "mul", "zero", "one"), jonsson_tarski_symbol="add",
     )
 

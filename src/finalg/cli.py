@@ -26,14 +26,13 @@ from .suites import SUITE_NAMES, run_suite
 CHAIN_PRINT_CAP = 32
 
 
-def _load(path: str) -> tuple[str, FiniteAlgebra]:
+def _load(path: str) -> FiniteAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise EngineError(f"{path} is not UTF-8 text: {exc}") from None
-    parsed = parse_algebra_file(text)
-    return parsed.name, parsed.algebra
+    return parse_algebra_file(text).algebra
 
 
 def _resolve_top(algebra: FiniteAlgebra, override: int | None) -> int:
@@ -62,10 +61,17 @@ def _format_chain(stages: Sequence[ElementSet]) -> str:
     return " ⊂ ".join(shown)
 
 
-def _cmd_step(args: argparse.Namespace, mode: str) -> int:
-    _, algebra = _load(args.file)
+def _on_input(handler, args: argparse.Namespace) -> int:
+    """Read the file, then the top, then the set when the subcommand takes
+    one, and hand them to `handler`: the first fault met is the one reported."""
+    algebra = _load(args.file)
     top = _resolve_top(algebra, args.top)
-    subset = _parse_set(args.set, algebra.size)
+    subset = _parse_set(args.set, algebra.size) if "set" in args else None
+    return handler(args, algebra, top, subset)
+
+
+def _cmd_step(args: argparse.Namespace, algebra: FiniteAlgebra, top: int, subset: ElementSet,
+              mode: str) -> int:
     if not args.fixpoint and args.steps < 0:
         raise EngineError("--steps must be non-negative")
     max_steps = None if args.fixpoint else args.steps
@@ -75,42 +81,30 @@ def _cmd_step(args: argparse.Namespace, mode: str) -> int:
     return 0
 
 
-def _cmd_clot(args: argparse.Namespace) -> int:
-    _, algebra = _load(args.file)
-    top = _resolve_top(algebra, args.top)
-    subset = _parse_set(args.set, algebra.size)
+def _cmd_clot(args: argparse.Namespace, algebra: FiniteAlgebra, top: int,
+              subset: ElementSet) -> int:
     print(clot_closure(algebra, top, subset))
     return 0
 
 
-def _cmd_normal(args: argparse.Namespace) -> int:
-    _, algebra = _load(args.file)
-    top = _resolve_top(algebra, args.top)
-    subset = _parse_set(args.set, algebra.size)
+def _cmd_normal(args: argparse.Namespace, algebra: FiniteAlgebra, top: int,
+                subset: ElementSet) -> int:
     result = is_top_normal(algebra, top, subset)
     word = "normal" if result.is_normal else "not-normal"
     print(f"{word} {result.top_class}")
     return 0
 
 
-def _cmd_relation(args: argparse.Namespace, congruence: bool) -> int:
-    _, algebra = _load(args.file)
-    top = _resolve_top(algebra, args.top)
-    subset = _parse_set(args.set, algebra.size)
-    pairs = [(x, top) for x in subset]
-    rel = (
-        congruence_generated(algebra, pairs)
-        if congruence
-        else semicongruence_generated(algebra, pairs)
-    )
+def _cmd_relation(args: argparse.Namespace, algebra: FiniteAlgebra, top: int,
+                  subset: ElementSet, congruence: bool) -> int:
+    generated = congruence_generated if congruence else semicongruence_generated
+    rel = generated(algebra, [(x, top) for x in subset])
     for a, b in rel.pairs():
         print(f"{a} {b}")
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
-    _, algebra = _load(args.file)
-    top = _resolve_top(algebra, args.top)
+def _cmd_rank(args: argparse.Namespace, algebra: FiniteAlgebra, top: int, _: None) -> int:
     if args.max_n is not None and args.max_n < 0:
         raise EngineError("--max-n must be non-negative")
     mode = "induction" if args.mode == "ind" else "deduction"
@@ -160,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_input(p: argparse.ArgumentParser, handler, needs_set: bool = True) -> None:
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=partial(_on_input, handler))
         p.add_argument("file", metavar="FILE", help="algebra description file")
         if needs_set:
             p.add_argument("--set", required=True,

@@ -101,13 +101,7 @@ class BinRel:
 def compose(first: BinRel, second: BinRel) -> BinRel:
     """a (first;second) c iff some b has a first b and b second c."""
     first._check(second)
-    rows = []
-    for row in first.rows:
-        acc = 0
-        for b in _bits(row):
-            acc |= second.rows[b]
-        rows.append(acc)
-    return BinRel(first.size, tuple(rows))
+    return BinRel(first.size, tuple(_right_mask(second.rows, row) for row in first.rows))
 
 
 def opposite(rel: BinRel) -> BinRel:
@@ -164,11 +158,7 @@ def is_compatible(algebra: FiniteAlgebra, rel: BinRel) -> bool:
     n = algebra.size
     support = rel.pairs()
     for _, arity, table in algebra.ops():
-        if arity == 0:
-            c = table[0]
-            if (c, c) not in rel:
-                return False
-            continue
+        # a constant's one, empty, argument tuple checks the pair (c, c)
         for tup in iterprod(support, repeat=arity):
             left = 0
             right = 0

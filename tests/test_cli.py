@@ -10,6 +10,7 @@ import pytest
 
 import finalg
 from finalg import build_catalog, render_algebra
+from finalg.catalog import cyclic_monoid
 from finalg.cli import build_parser, main
 
 
@@ -241,6 +242,46 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith(f"error: {path} is not UTF-8 text: ")
         assert err.count("\n") == 1
+
+
+class TestRefusalOrder:
+    """Where two faults coincide, the first one reported is the file, then
+    the top, then the set, then the subcommand's own flags, and only then
+    the engine's refusals."""
+
+    @pytest.fixture
+    def paths(self, files, tmp_path):
+        big = tmp_path / "z17-monoid.ua"
+        big.write_text(render_algebra("z17-monoid", cyclic_monoid(17).algebra))
+        return dict(files, big=str(big), missing=str(tmp_path / "missing.ua"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("ind", "z4-ring", "--top", "9", "--set", "7", "--steps", "-1"),
+         "top element 9 outside carrier of size 4"),
+        (("ind", "z4-ring", "--set", "7", "--steps", "-1"),
+         "element 7 outside carrier of size 4"),
+        (("ind", "z4-ring", "--set", "1,x", "--steps", "-1"),
+         "malformed set '1,x': use comma-separated integers or '-'"),
+        (("semicong", "z4-ring", "--top", "9", "--set", "-"),
+         "top element 9 outside carrier of size 4"),
+        (("normal", "no-top", "--set", "7"),
+         "no top element: give --top or declare top in the file"),
+        (("rank", "big", "--mode", "ind"),
+         "carrier size 17 exceeds enumeration limit 16"),
+        (("rank", "big", "--mode", "ind", "--top", "99"),
+         "top element 99 outside carrier of size 17"),
+        (("rank", "big", "--mode", "ind", "--top", "99", "--max-n", "-1"),
+         "top element 99 outside carrier of size 17"),
+        (("rank", "big", "--mode", "ind", "--max-n", "-1"),
+         "--max-n must be non-negative"),
+        (("ded", "missing", "--top", "9", "--set", "x"),
+         "[Errno 2] No such file or directory: '{missing}'"),
+        (("rank", "missing", "--mode", "ded", "--top", "99", "--max-n", "-1"),
+         "[Errno 2] No such file or directory: '{missing}'"),
+    ])
+    def test_first_fault_is_reported(self, paths, capsys, argv, message):
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 def _fresh_env():

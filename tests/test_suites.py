@@ -11,7 +11,19 @@ from __future__ import annotations
 
 import pytest
 
-from finalg import SUITE_NAMES, algebra_rank, build_catalog, closure, run_suite
+from finalg import (
+    SUITE_NAMES,
+    BinRel,
+    algebra_rank,
+    build_catalog,
+    closure,
+    generate_subalgebra,
+    left_image,
+    product_square,
+    right_image,
+    run_suite,
+    subsets_in_order,
+)
 from finalg.errors import UnknownSuite
 
 PASSING_SUITES = (
@@ -127,6 +139,74 @@ class TestTheoremBSuite:
             "actual=induction-covers-generated=True"
         )
         assert len(lines) == 68
+
+
+def _theorem_c_violations(limit: int):
+    """Every check of the `theorem-c` suite, computed without `finalg.closure`:
+    R_J is the subalgebra of A x A generated by Δ ∪ J x {top} (the square's
+    worklist closure), stage k+1 is the image of stage k under R of stage k,
+    and R_I^k(I) is the k-th image of I under R_I. Returns the case count and
+    each violated (algebra, set, check, lower bound holds)."""
+    max_n, hi = 3, 7
+    cases, violations = 0, []
+    for entry in build_catalog(limit):
+        alg, top = entry.algebra, entry.algebra.top
+        n = alg.size
+        square = product_square(alg)
+        kept = {}
+
+        def relation(subset):
+            if subset.mask not in kept:
+                seed = BinRel.from_pairs(n, [(x, top) for x in subset]).union(BinRel.diagonal(n))
+                kept[subset.mask] = BinRel.from_support(
+                    generate_subalgebra(square, seed.support()), n)
+            return kept[subset.mask]
+
+        for subset in subsets_in_order(n):
+            for mode, image in (("induction", left_image), ("deduction", right_image)):
+                stages = [subset]
+                while (nxt := image(relation(stages[-1]), stages[-1])) != stages[-1]:
+                    stages.append(nxt)
+                powers = [subset]
+                while (nxt := image(relation(subset), powers[-1])) != powers[-1]:
+                    powers.append(nxt)
+                stages += stages[-1:] * (max_n + 1 - len(stages))
+                union = powers[-1]
+                powers += powers[-1:] * (hi + 1 - len(powers))
+                for k in range(max_n + 1):
+                    lower = powers[k].issubset(stages[k])
+                    if not (lower and stages[k].issubset(powers[2**k - 1])):
+                        violations.append(
+                            (entry.name, str(subset), f"{mode}-sandwich-n{k}", lower))
+                if stages[-1] != union:
+                    violations.append(
+                        (entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers", True))
+                cases += max_n + 2
+    return cases, violations
+
+
+class TestTheoremCSuite:
+    """`theorem-c` passes at its default limit and is refuted at limit 6, in
+    deduction only, by the upper bound stage(n) ⊆ R_I^(2^n-1)(I) and by the
+    fixpoint being the union of the powers. On `sat5-monoid` with top 0 and
+    I = {3,4}, the stages are {3,4} ⊂ {0,1,3,4} ⊂ {0,1,2,3,4}, while every
+    power of R_I takes I to {0,1,3,4}."""
+
+    def test_failures_at_limit_six_are_exactly_the_violations(self):
+        report = run_suite("theorem-c", limit=6)
+        cases, violations = _theorem_c_violations(6)
+        assert report.cases == cases == 9610
+        assert all(lower for *_, lower in violations)
+        assert not [v for v in violations if v[2].startswith("induction")]
+        assert [(f.algebra, f.subset, f.check) for f in report.failures] == \
+            [v[:3] for v in violations] == [
+                ("sat5-monoid", subset, check)
+                for subset in ("{3,4}", "{0,3,4}")
+                for check in ("deduction-sandwich-n2", "deduction-sandwich-n3",
+                              "deduction-fixpoint-is-union-of-powers")
+            ]
+        assert report.failures[0].actual == "{0,1,2,3,4}"
+        assert report.failures[0].expected == "{0,1,3,4}<=stage<={0,1,3,4}"
 
 
 class TestReportFormat:
