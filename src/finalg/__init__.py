@@ -1,20 +1,14 @@
 """Closure engine and verification workbench for finite universal algebras."""
 
 from .algebra import (
-    App,
     ElementSet,
     FiniteAlgebra,
     Signature,
-    Term,
-    Var,
-    constant,
     enumerate_term_images,
-    eval_term,
     generate_subalgebra,
     make_algebra,
     product_square,
     stabilized_term_images,
-    term_depth,
 )
 from .catalog import CatalogEntry, build_catalog
 from .closure import (

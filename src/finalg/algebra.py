@@ -1,4 +1,4 @@
-"""Finite algebras: signatures, carriers, operation tables, terms.
+"""Finite algebras: signatures, carriers, operation tables, term enumeration.
 
 Carriers are {0, ..., size-1}. Every operation is a total lookup table stored
 flat in row-major order, leftmost argument varying slowest. Arity-0 symbols
@@ -8,14 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product as iterprod
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ArityMismatch,
     DuplicateSymbol,
     SizeMismatch,
     SizeOverflow,
-    UnboundVariable,
     UnknownSymbol,
     ValueOutOfRange,
 )
@@ -135,28 +134,6 @@ class ElementSet:
 
 
 @dataclass(frozen=True)
-class Var:
-    """Term variable, identified by a non-negative index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class App:
-    """Application of an operation symbol to argument terms."""
-
-    symbol: str
-    args: tuple["Term", ...] = ()
-
-
-Term = Union[Var, App]
-
-
-def constant(symbol: str) -> App:
-    return App(symbol, ())
-
-
-@dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable finite algebra: signature, carrier size, tables, optional top.
 
@@ -226,41 +203,15 @@ def make_algebra(
     return FiniteAlgebra(sig, size, tuple(aligned), top)
 
 
-def eval_term(algebra: FiniteAlgebra, term: Term, env: Mapping[int, int]) -> int:
-    """Evaluate a term under a variable assignment into the carrier."""
-    if isinstance(term, Var):
-        if term.index not in env:
-            raise UnboundVariable(f"variable v{term.index} has no assigned value")
-        value = env[term.index]
-        if not 0 <= value < algebra.size:
-            raise ValueOutOfRange(f"assignment {value} outside carrier")
-        return value
-    arity = algebra.sig.arity(term.symbol)
-    if len(term.args) != arity:
-        raise ArityMismatch(
-            f"{term.symbol!r} expects {arity} arguments, got {len(term.args)}"
-        )
-    return algebra.apply(term.symbol, *(eval_term(algebra, t, env) for t in term.args))
-
-
-def term_depth(term: Term) -> int:
-    # variables and constants sit at depth 0
-    if isinstance(term, Var) or not term.args:
-        return 0
-    return 1 + max(term_depth(t) for t in term.args)
-
-
-def product_square(
-    algebra: FiniteAlgebra, limit: int = DEFAULT_CARRIER_LIMIT
-) -> FiniteAlgebra:
+def product_square(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """The direct square A x A with pair (a, b) encoded as a*size + b.
 
     Built afresh on every call, with (n^2)^k entries for a k-ary op. The
     closure engine never builds it; the term-enumeration checks close over it
     as an independent reference."""
-    if algebra.size * algebra.size > limit:
+    if algebra.size * algebra.size > DEFAULT_CARRIER_LIMIT:
         raise SizeOverflow(
-            f"squared carrier {algebra.size**2} exceeds limit {limit}"
+            f"squared carrier {algebra.size**2} exceeds limit {DEFAULT_CARRIER_LIMIT}"
         )
     n = algebra.size
     n2 = n * n

@@ -26,10 +26,6 @@ class UnknownSymbol(EngineError):
     pass
 
 
-class UnboundVariable(EngineError):
-    pass
-
-
 class SizeMismatch(EngineError):
     pass
 

@@ -33,6 +33,7 @@ from .oracles import (
     semiring_ind_oracle,
     is_subtractive_ideal,
     subsemigroup_generated,
+    subtractive_closure_submonoid,
 )
 from .ranks import algebra_rank, subsets_in_order
 from .relations import BinRel, compose, left_image, right_image
@@ -205,15 +206,12 @@ def _suite_semiring(col: _Collector, limit: int) -> None:
 def _submonoids(entry: CatalogEntry) -> list[ElementSet]:
     alg = entry.algebra
     add, zero = entry.monoid_symbols
-    table = alg.table(add)
     zero_value = alg.table(zero)[0]
-    out = []
-    for subset in subsets_in_order(alg.size, nonempty=False):
-        if zero_value not in subset:
-            continue
-        if all(table[a * alg.size + b] in subset for a in subset for b in subset):
-            out.append(subset)
-    return out
+    return [
+        subset
+        for subset in subsets_in_order(alg.size, nonempty=False)
+        if zero_value in subset and subsemigroup_generated(alg, add, subset) == subset
+    ]
 
 
 def _suite_comm_monoid(col: _Collector, limit: int) -> None:
@@ -236,14 +234,9 @@ def _suite_comm_monoid(col: _Collector, limit: int) -> None:
             )
             col.equal(entry.name, str(subset), "submonoid-deduction-one-step-formula",
                       one_step, ded)
-            subtractive = all(
-                x in subset
-                for x in range(n)
-                for y in subset
-                if table[x * n + y] in subset
-            )
             col.equal(entry.name, str(subset), "deductively-closed-iff-subtractive",
-                      subtractive, ded.issubset(subset))
+                      subtractive_closure_submonoid(alg, add, subset) == subset,
+                      ded.issubset(subset))
 
 
 def _pair_sets(size: int) -> list[list[tuple[int, int]]]:

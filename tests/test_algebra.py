@@ -1,4 +1,4 @@
-"""Core algebra layer: signatures, element sets, terms, products, closures."""
+"""Core algebra layer: signatures, element sets, term enumeration, products, closures."""
 from __future__ import annotations
 
 import pytest
@@ -6,26 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finalg import (
-    App,
     ElementSet,
     Signature,
-    Var,
     build_catalog,
-    constant,
     enumerate_term_images,
-    eval_term,
     generate_subalgebra,
     make_algebra,
     product_square,
     stabilized_term_images,
-    term_depth,
 )
 from finalg.errors import (
     ArityMismatch,
     DuplicateSymbol,
     SizeMismatch,
     SizeOverflow,
-    UnboundVariable,
     UnknownSymbol,
     ValueOutOfRange,
 )
@@ -148,36 +142,6 @@ class TestMakeAlgebra:
             alg.table("mul")
 
 
-class TestEvalTerm:
-    def test_projection_is_identity_everywhere(self):
-        alg = z_monoid(4)
-        for x in range(4):
-            assert eval_term(alg, Var(0), {0: x}) == x
-
-    def test_double_in_z3(self):
-        alg = z_monoid(3)
-        t = App("add", (Var(0), Var(0)))
-        assert eval_term(alg, t, {0: 2}) == 1
-
-    def test_constant_term(self):
-        alg = z_monoid(3)
-        assert eval_term(alg, constant("zero"), {}) == 0
-
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariable):
-            eval_term(z_monoid(3), Var(1), {0: 2})
-
-    def test_arity_mismatch_in_term(self):
-        with pytest.raises(ArityMismatch):
-            eval_term(z_monoid(3), App("add", (Var(0),)), {0: 1})
-
-    def test_term_depth(self):
-        assert term_depth(Var(3)) == 0
-        assert term_depth(constant("zero")) == 0
-        nested = App("add", (App("add", (Var(0), constant("zero"))), Var(1)))
-        assert term_depth(nested) == 2
-
-
 class TestProductSquare:
     def test_one_element(self):
         sq = product_square(z_monoid(1))
@@ -198,8 +162,10 @@ class TestProductSquare:
         assert product_square(alg).top == 2 * 3 + 2
 
     def test_size_overflow(self):
-        with pytest.raises(SizeOverflow):
-            product_square(z_monoid(3), limit=8)
+        alg = make_algebra([("point", 0)], 65, {"point": [0]})
+        with pytest.raises(SizeOverflow) as err:
+            product_square(alg)
+        assert str(err.value) == "squared carrier 4225 exceeds limit 4096"
 
 
 class TestGenerateSubalgebra:

@@ -190,7 +190,9 @@ class TestTheoremCSuite:
     deduction only, by the upper bound stage(n) ⊆ R_I^(2^n-1)(I) and by the
     fixpoint being the union of the powers. On `sat5-monoid` with top 0 and
     I = {3,4}, the stages are {3,4} ⊂ {0,1,3,4} ⊂ {0,1,2,3,4}, while every
-    power of R_I takes I to {0,1,3,4}."""
+    power of R_I takes I to {0,1,3,4}. At limit 8 the failing sets are, on
+    `sat5`, `sat6` and `sat7`, exactly those whose deduction takes two or
+    more steps."""
 
     def test_failures_at_limit_six_are_exactly_the_violations(self):
         report = run_suite("theorem-c", limit=6)
@@ -207,6 +209,33 @@ class TestTheoremCSuite:
             ]
         assert report.failures[0].actual == "{0,1,2,3,4}"
         assert report.failures[0].expected == "{0,1,3,4}<=stage<={0,1,3,4}"
+
+    def test_failures_at_limit_eight_are_the_multi_step_deductions(self):
+        # read off the engine: a set fails iff its deduction needs two or
+        # more steps, iff its fixpoint is not the union of the R_I powers;
+        # the engine-independent pin at this limit takes 45 s, too slow here
+        report = run_suite("theorem-c", limit=8)
+        assert report.summary() == "FAIL theorem-c 40170 102"
+        failing: dict[tuple[str, str], list[str]] = {}
+        for f in report.failures:
+            failing.setdefault((f.algebra, f.subset), []).append(f.check)
+        assert [name for name, _ in failing] == \
+            ["sat5-monoid"] * 2 + ["sat6-monoid"] * 10 + ["sat7-monoid"] * 22
+        assert all(checks == ["deduction-sandwich-n2", "deduction-sandwich-n3",
+                              "deduction-fixpoint-is-union-of-powers"]
+                   for checks in failing.values())
+        multi_step, not_union = set(), set()
+        for entry in build_catalog(8):
+            alg, top = entry.algebra, entry.algebra.top
+            for subset in subsets_in_order(alg.size):
+                ded = closure.iterate(alg, top, subset, "deduction")
+                rel = closure.semicongruence_generated(alg, [(x, top) for x in subset])
+                key = (entry.name, str(subset))
+                if ded.steps_to_fixpoint >= 2:
+                    multi_step.add(key)
+                if closure.power_images(rel, subset, "right")[-1] != ded.final():
+                    not_union.add(key)
+        assert set(failing) == multi_step == not_union
 
 
 class TestReportFormat:
