@@ -99,8 +99,8 @@ def _cmd_relation(args: argparse.Namespace, algebra: FiniteAlgebra, top: int,
                   subset: ElementSet, congruence: bool) -> int:
     generated = congruence_generated if congruence else semicongruence_generated
     rel = generated(algebra, [(x, top) for x in subset])
-    for a, b in rel.pairs():
-        print(f"{a} {b}")
+    # a generated relation is reflexive, so never empty: one print, one line a pair
+    print("\n".join([f"{a} {b}" for a, b in rel.pairs()]))
     return 0
 
 

@@ -66,23 +66,35 @@ def _fold(table: Sequence[int], slices: list[int], pools: list[Sequence[int]],
     row of a. slices[b] packs f's entries b*n^(k-1) .. (b+1)*n^(k-1) - 1,
     entry j at lane j as 1 << entry, in lanes of typecode `fmt`.
 
-    Left to right, folding a coordinate over its pool replaces the n slices
-    of each prefix by one int per a in the pool, the OR over b in row a of
-    slice b, cut again into n slices: at the last coordinate n single lanes,
-    the masks whose rows are ORed into gained at the prefix's entries."""
+    Left to right, folding a prefix coordinate over its pool replaces the n
+    slices of each prefix by one int per a in the pool, the OR over b in row
+    a of slice b, cut again into n slices. The last coordinate is folded by
+    columns: the m prefixes' ints, n lanes each, are joined into one m x n
+    lane matrix and transposed once, so that lane p of column b is lane b of
+    prefix p (at arity 1 the slices are the columns, m = 1). The OR of the
+    columns in row a then holds, lane p, the mask of prefix p with a, which
+    goes to gained[table[starts[p] + a]], starts[p] the index of prefix p's
+    first entry."""
+    if not all(pools):
+        return
     n, k = len(row_bits), len(pools)
-    offsets, level = [0], [slices]
+    width = array(fmt).itemsize
+    starts, level = [0], [slices]
     for depth, pool in enumerate(pools[:-1], 1):
-        size = n ** (k - depth) * array(fmt).itemsize
-        offsets = [o * n + a for o in offsets for a in pool]
+        span = n ** (k - depth)
+        starts = [s + a * span for s in starts for a in pool]
         packed = [reduce(or_, map(cut.__getitem__, row_bits[a]))
-                  .to_bytes(size, byteorder) for cut in level for a in pool]
-        level = [memoryview(raw).cast(fmt).tolist() if depth == k - 1 else _cut(raw, n)
-                 for raw in packed]
-    for o, lanes in zip(offsets, level):
-        targets = table[o * n:o * n + n]
-        for a in pools[-1]:
-            gained[targets[a]] |= reduce(or_, map(lanes.__getitem__, row_bits[a]))
+                  .to_bytes(span * width, byteorder) for cut in level for a in pool]
+        if depth < k - 1:
+            level = [_cut(raw, n) for raw in packed]
+        else:
+            matrix = memoryview(b"".join(packed)).cast(fmt, (len(starts), n))
+            level = [_cut(matrix.tobytes("F"), n)]
+    columns, size, last = level[0], len(starts) * width, pools[-1]
+    lanes = array(fmt, b"".join([reduce(or_, map(columns.__getitem__, row_bits[a]))
+                                 .to_bytes(size, byteorder) for a in last]))
+    for target, mask in zip([table[s + a] for a in last for s in starts], lanes):
+        gained[target] |= mask
 
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:

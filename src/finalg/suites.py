@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
@@ -77,19 +78,33 @@ class SuiteReport:
 
 
 class _Collector:
+    """Counts cases and keeps failures. The set (or its label) and both
+    sides of a check are formatted with `str` only when the check fails."""
+
     def __init__(self) -> None:
         self.cases = 0
         self.failures: list[SuiteFailure] = []
 
-    def check(self, ok: bool, algebra: str, subset: str, check: str, expected, actual) -> None:
+    def check(self, ok: bool, algebra: str, subset, check: str, expected, actual) -> None:
         self.cases += 1
         if not ok:
             self.failures.append(
-                SuiteFailure(algebra, subset, check, str(expected), str(actual))
+                SuiteFailure(algebra, str(subset), check, str(expected), str(actual))
             )
 
-    def equal(self, algebra: str, subset: str, check: str, expected, actual) -> None:
+    def equal(self, algebra: str, subset, check: str, expected, actual) -> None:
         self.check(expected == actual, algebra, subset, check, expected, actual)
+
+
+class _Sandwich(NamedTuple):
+    """The expected side of a `theorem-c` sandwich check: the bounds, shown
+    as `low<=stage<=high` when the check fails."""
+
+    low: ElementSet
+    high: ElementSet
+
+    def __str__(self) -> str:
+        return f"{self.low}<=stage<={self.high}"
 
 
 def _suite_theorem_a(col: _Collector, limit: int) -> None:
@@ -100,7 +115,7 @@ def _suite_theorem_a(col: _Collector, limit: int) -> None:
             fixed = top_induction(alg, top, subset) == subset and \
                 top_deduction(alg, top, subset) == subset
             normal = is_top_normal(alg, top, subset).is_normal
-            col.equal(entry.name, str(subset), "normal-iff-inductive-and-deductive", fixed, normal)
+            col.equal(entry.name, subset, "normal-iff-inductive-and-deductive", fixed, normal)
 
 
 def _suite_theorem_b(col: _Collector, limit: int) -> None:
@@ -116,7 +131,7 @@ def _suite_theorem_b(col: _Collector, limit: int) -> None:
             lhs = top_sub.issubset(subset)
             rhs = generate_subalgebra(alg, subset).issubset(top_induction(alg, top, subset))
             col.check(
-                lhs == rhs, entry.name, str(subset),
+                lhs == rhs, entry.name, subset,
                 "covers-top-subalgebra-iff-induction-covers-generated",
                 f"set-covers-top-subalgebra={lhs}",
                 f"induction-covers-generated={rhs}",
@@ -141,11 +156,11 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
                     stage = report.stage(n)
                     ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
                     col.check(
-                        ok, entry.name, str(subset), f"{mode}-sandwich-n{n}",
-                        f"{powers[n]}<=stage<={powers[2**n - 1]}", str(stage),
+                        ok, entry.name, subset, f"{mode}-sandwich-n{n}",
+                        _Sandwich(powers[n], powers[2**n - 1]), stage,
                     )
                 col.equal(
-                    entry.name, str(subset), f"{mode}-fixpoint-is-union-of-powers",
+                    entry.name, subset, f"{mode}-fixpoint-is-union-of-powers",
                     powers[-1], report.final(),
                 )
 
@@ -156,7 +171,7 @@ def _suite_clot_idempotent(col: _Collector, limit: int) -> None:
         for subset in subsets_in_order(alg.size, nonempty=False):
             once = clot_closure(alg, top, subset)
             twice = clot_closure(alg, top, once)
-            col.equal(entry.name, str(subset), "clot-idempotent", once, twice)
+            col.equal(entry.name, subset, "clot-idempotent", once, twice)
 
 
 def _suite_term_oracle(col: _Collector, limit: int) -> None:
@@ -170,11 +185,11 @@ def _suite_term_oracle(col: _Collector, limit: int) -> None:
             seed = BinRel.from_pairs(n, pairs).union(BinRel.diagonal(n)).support()
             enum = BinRel.from_support(stabilized_term_images(square, seed), n)
             rel = semicongruence_generated(alg, pairs)
-            col.equal(entry.name, str(subset), "semicongruence-equals-term-enumeration",
+            col.equal(entry.name, subset, "semicongruence-equals-term-enumeration",
                       sorted(enum.pairs()), sorted(rel.pairs()))
-            col.equal(entry.name, str(subset), "induction-equals-term-description",
+            col.equal(entry.name, subset, "induction-equals-term-description",
                       left_image(enum, subset), top_induction(alg, top, subset))
-            col.equal(entry.name, str(subset), "deduction-equals-term-description",
+            col.equal(entry.name, subset, "deduction-equals-term-description",
                       right_image(enum, subset), top_deduction(alg, top, subset))
 
 
@@ -187,18 +202,18 @@ def _suite_semiring(col: _Collector, limit: int) -> None:
             rel = semicongruence_generated(alg, [(x, top) for x in subset])
             ind = top_induction(alg, top, subset)
             ded = top_deduction(alg, top, subset)
-            col.equal(entry.name, str(subset), "induction-equals-sum-with-ideal",
+            col.equal(entry.name, subset, "induction-equals-sum-with-ideal",
                       semiring_ind_oracle(view, subset), ind)
-            col.equal(entry.name, str(subset), "deduction-equals-ideal-difference",
+            col.equal(entry.name, subset, "deduction-equals-ideal-difference",
                       semiring_ded_oracle(view, subset), ded)
-            col.equal(entry.name, str(subset), "induction-idempotent",
+            col.equal(entry.name, subset, "induction-idempotent",
                       ind, top_induction(alg, top, ind))
-            col.equal(entry.name, str(subset), "deduction-idempotent",
+            col.equal(entry.name, subset, "deduction-idempotent",
                       ded, top_deduction(alg, top, ded))
-            col.equal(entry.name, str(subset), "relation-composition-idempotent",
+            col.equal(entry.name, subset, "relation-composition-idempotent",
                       rel, compose(rel, rel))
             if subset:
-                col.equal(entry.name, str(subset), "normal-iff-subtractive-ideal",
+                col.equal(entry.name, subset, "normal-iff-subtractive-ideal",
                           is_subtractive_ideal(view, subset),
                           is_top_normal(alg, top, subset).is_normal)
 
@@ -222,9 +237,9 @@ def _suite_comm_monoid(col: _Collector, limit: int) -> None:
         n = alg.size
         for subset in subsets_in_order(alg.size):
             ind = top_induction(alg, top, subset)
-            col.equal(entry.name, str(subset), "induction-equals-generated-subsemigroup",
+            col.equal(entry.name, subset, "induction-equals-generated-subsemigroup",
                       subsemigroup_generated(alg, add, subset), ind)
-            col.equal(entry.name, str(subset), "induction-idempotent",
+            col.equal(entry.name, subset, "induction-idempotent",
                       ind, top_induction(alg, top, ind))
         for subset in _submonoids(entry):
             ded = top_deduction(alg, top, subset)
@@ -232,9 +247,9 @@ def _suite_comm_monoid(col: _Collector, limit: int) -> None:
                 n,
                 (x for x in range(n) if any(table[x * n + y] in subset for y in subset)),
             )
-            col.equal(entry.name, str(subset), "submonoid-deduction-one-step-formula",
+            col.equal(entry.name, subset, "submonoid-deduction-one-step-formula",
                       one_step, ded)
-            col.equal(entry.name, str(subset), "deductively-closed-iff-subtractive",
+            col.equal(entry.name, subset, "deductively-closed-iff-subtractive",
                       subtractive_closure_submonoid(alg, add, subset) == subset,
                       ded.issubset(subset))
 
@@ -259,7 +274,7 @@ def _check_ranks(col: _Collector, entry: CatalogEntry, bound: int) -> None:
     for mode in ("induction", "deduction"):
         result = algebra_rank(alg, alg.top, mode)
         col.check(result.rank is not None and result.rank <= bound,
-                  entry.name, str(result.witness), f"{mode}-rank-at-most-{bound}",
+                  entry.name, result.witness, f"{mode}-rank-at-most-{bound}",
                   f"<={bound}", result.describe())
 
 
@@ -272,7 +287,7 @@ def _suite_maltsev(col: _Collector, limit: int) -> None:
         verified = check_maltsev_term(alg, entry.maltsev_symbol)
         col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
         for subset in subsets_in_order(alg.size, nonempty=False):
-            col.equal(entry.name, str(subset), "induction-equals-deduction",
+            col.equal(entry.name, subset, "induction-equals-deduction",
                       top_induction(alg, top, subset), top_deduction(alg, top, subset))
         for pairs in _pair_sets(alg.size):
             rel = semicongruence_generated(alg, pairs)
@@ -294,8 +309,8 @@ def _suite_subtractive(col: _Collector, limit: int) -> None:
             ind_fix = iterate(alg, top, subset, "induction").final()
             ded_fix = iterate(alg, top, subset, "deduction").final()
             clot = clot_closure(alg, top, subset)
-            col.equal(entry.name, str(subset), "induction-fixpoint-equals-clot", clot, ind_fix)
-            col.equal(entry.name, str(subset), "deduction-fixpoint-equals-clot", clot, ded_fix)
+            col.equal(entry.name, subset, "induction-fixpoint-equals-clot", clot, ind_fix)
+            col.equal(entry.name, subset, "deduction-fixpoint-equals-clot", clot, ded_fix)
 
 
 def _suite_jonsson_tarski(col: _Collector, limit: int) -> None:
@@ -316,16 +331,16 @@ def _suite_rank0(col: _Collector, limit: int) -> None:
                         build_catalog(limit)):
         alg, top = entry.algebra, entry.algebra.top
         for subset in subsets_in_order(alg.size, nonempty=False):
-            col.equal(entry.name, str(subset), "induction-is-identity",
+            col.equal(entry.name, subset, "induction-is-identity",
                       subset, top_induction(alg, top, subset))
             if subset:
-                col.equal(entry.name, str(subset), "deduction-adds-top",
+                col.equal(entry.name, subset, "deduction-adds-top",
                           subset.with_element(top), top_deduction(alg, top, subset))
         ind_rank = algebra_rank(alg, top, "induction")
-        col.check(ind_rank.rank == 0, entry.name, str(ind_rank.witness),
+        col.check(ind_rank.rank == 0, entry.name, ind_rank.witness,
                   "induction-rank-0", 0, ind_rank.describe())
         ded_rank = algebra_rank(alg, top, "deduction")
-        col.check(ded_rank.rank == 1, entry.name, str(ded_rank.witness),
+        col.check(ded_rank.rank == 1, entry.name, ded_rank.witness,
                   "deduction-rank-1", 1, ded_rank.describe())
 
 

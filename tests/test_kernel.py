@@ -56,7 +56,7 @@ def algebras_with_pairs(draw):
     return alg, pairs
 
 
-def _assert_tables_below_square(alg):
+def _assert_slices_below_square(alg):
     # per op of arity k >= 1, n slices of n^(k-1) lanes: n^k lanes in all,
     # lane i the mask 1 << table[i], nothing of the square's (n^2)^k size;
     # a lane is the narrowest of 8, 16, 32 and 64 bits that holds n bits
@@ -88,7 +88,7 @@ def test_equals_term_enumeration_on_the_square(case):
     assert rel.is_reflexive()
     assert is_compatible(alg, rel)
     assert all(pair in rel for pair in pairs)
-    _assert_tables_below_square(alg)
+    _assert_slices_below_square(alg)
 
 
 def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
@@ -233,6 +233,17 @@ def test_binary_right_successor_at_the_carrier_limit(wrap):
     assert semicongruence_generated(alg, [(1, 0)]) == BinRel.from_pairs(n, pairs)
 
 
+def test_dense_sum_at_the_carrier_limit():
+    # (a + b) mod 64 from (1, 0): (a, a) + (1, 0) = (a + 1, a), and sums of
+    # those reach every difference, so the relation is the full square; a
+    # round with every row changed folds the widest column matrix, 64
+    # prefixes of 64 lanes of 64 bits
+    n = 64
+    alg = make_algebra([("add", 2)], n, {"add": [(a + b) % n for a in range(n) for b in range(n)]})
+    assert semicongruence_generated(alg, [(1, 0)]) == \
+        BinRel.from_pairs(n, iterprod(range(n), repeat=2))
+
+
 @settings(max_examples=200)
 @given(algebras_with_pairs(), st.data())
 def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
@@ -253,7 +264,9 @@ def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
 
 @fixed_algebras
 def test_translation_tables_never_exceed_the_square(alg):
-    _assert_tables_below_square(alg)
+    # named for the translation tables that the packed slices replaced; it
+    # checks the slices
+    _assert_slices_below_square(alg)
 
 
 def _assert_fold_exact(alg, rng, members=None):
@@ -292,6 +305,8 @@ def _assert_fold_exact(alg, rng, members=None):
 
 @fixed_algebras
 def test_translation_tables_give_exact_images(alg):
+    # named, like the test above, for the translation tables; it checks the
+    # fold's images through the packed slices
     _assert_fold_exact(alg, random.Random(f"fold/{alg.size}"))
 
 
@@ -315,7 +330,7 @@ def test_fold_is_exact_at_lane_boundaries(alg):
     # rows every image is the mask of all table values, whose bit n - 1 is
     # the top bit of a lane (1 << 63 at n = 64)
     n = alg.size
-    _assert_tables_below_square(alg)
+    _assert_slices_below_square(alg)
     _assert_fold_exact(alg, random.Random(f"fold-lanes/{n}"), members=4)
     (k, table, slices), = Closures(alg)._tables
     gained = [0] * n

@@ -14,6 +14,7 @@ import pytest
 from finalg import (
     SUITE_NAMES,
     BinRel,
+    ElementSet,
     algebra_rank,
     build_catalog,
     closure,
@@ -58,6 +59,17 @@ class TestSuiteRuns:
         assert run_suite("term-oracle").cases == 720
         assert run_suite("theorem-c").cases == 2090
         assert run_suite("nat-chain").cases == 9
+
+    @pytest.mark.parametrize("name", ["theorem-a", "theorem-c"])
+    def test_passing_checks_format_no_set(self, name, monkeypatch):
+        # a check formats its set and both sides only when it fails
+        def refuse(self):
+            raise AssertionError("a passing check formatted a set")
+
+        monkeypatch.setattr(ElementSet, "__str__", refuse)
+        report = run_suite(name)
+        assert report.passed
+        assert report.cases == {"theorem-a": 209, "theorem-c": 2090}[name]
 
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
