@@ -21,7 +21,7 @@ from .closure import (
 from .errors import EngineError
 from .fileformat import parse_algebra_file
 from .ranks import algebra_rank
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, _format_nat, run_suite
 
 CHAIN_PRINT_CAP = 32
 
@@ -139,7 +139,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     primes = _parse_primes(args.primes)
     stages = nat_mult_deduction_chain(primes, len(primes), args.depth)
     for stage in stages:
-        print("{" + ",".join(str(x) for x in sorted(stage)) + "}")
+        print(_format_nat(stage))
     return 0
 
 

@@ -51,49 +51,44 @@ def _lane(n: int) -> str:
     return "BHIQ"[(n > 8) + (n > 16) + (n > 32)]
 
 
-def _cut(raw: bytes, n: int) -> list[int]:
-    """`raw` cut into n equal parts, each read as one int of its lanes, in
-    the native byte order that `array` writes and `memoryview.cast` reads."""
+def _cut(raw: bytes, n: int, fmt: str) -> list[int]:
+    """The n columns of `raw`, a matrix of `fmt` lanes in rows of n, by one
+    transpose: lane p of column b is lane b of row p, each column read as
+    one int in the native byte order that `array` writes."""
+    raw = memoryview(raw).cast(fmt, (len(raw) // array(fmt).itemsize // n, n)).tobytes("F")
     step = len(raw) // n
     return [int.from_bytes(raw[i:i + step], byteorder) for i in range(0, len(raw), step)]
 
 
-def _fold(table: Sequence[int], slices: list[int], pools: list[Sequence[int]],
+def _ors(columns: list[int], pool: Sequence[int], row_bits: list[list[int]], size: int) -> bytes:
+    """Per a in `pool`, the OR of the columns in row a as `size` bytes, joined."""
+    return b"".join([reduce(or_, map(columns.__getitem__, row_bits[a])).to_bytes(size, byteorder)
+                     for a in pool])
+
+
+def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
           row_bits: list[list[int]], gained: list[int], fmt: str) -> None:
     """OR into gained[f(a1..ak)] the mask of f(b1..bk), each bj in row aj,
     for every argument tuple in the product of `pools`, one pool per
     coordinate, where f has `table` and row_bits[a] lists the (never empty)
-    row of a. slices[b] packs f's entries b*n^(k-1) .. (b+1)*n^(k-1) - 1,
-    entry j at lane j as 1 << entry, in lanes of typecode `fmt`.
+    row of a. Lane p of columns[b] is 1 << table[p*n + b], typecode `fmt`.
 
-    Left to right, folding a prefix coordinate over its pool replaces the n
-    slices of each prefix by one int per a in the pool, the OR over b in row
-    a of slice b, cut again into n slices. The last coordinate is folded by
-    columns: the m prefixes' ints, n lanes each, are joined into one m x n
-    lane matrix and transposed once, so that lane p of column b is lane b of
-    prefix p (at arity 1 the slices are the columns, m = 1). The OR of the
-    columns in row a then holds, lane p, the mask of prefix p with a, which
-    goes to gained[table[starts[p] + a]], starts[p] the index of prefix p's
-    first entry."""
+    The coordinates are folded from the last to the first. Per a in the
+    pool, the OR of the columns in row a serves every tuple folded so far;
+    joined, these ints are a matrix whose last index is the coordinate
+    before, which `_cut` transposes into its n columns. After the first
+    coordinate the lanes are the product's tuples in row-major order."""
     if not all(pools):
         return
-    n, k = len(row_bits), len(pools)
-    width = array(fmt).itemsize
-    starts, level = [0], [slices]
-    for depth, pool in enumerate(pools[:-1], 1):
-        span = n ** (k - depth)
-        starts = [s + a * span for s in starts for a in pool]
-        packed = [reduce(or_, map(cut.__getitem__, row_bits[a]))
-                  .to_bytes(span * width, byteorder) for cut in level for a in pool]
-        if depth < k - 1:
-            level = [_cut(raw, n) for raw in packed]
-        else:
-            matrix = memoryview(b"".join(packed)).cast(fmt, (len(starts), n))
-            level = [_cut(matrix.tobytes("F"), n)]
-    columns, size, last = level[0], len(starts) * width, pools[-1]
-    lanes = array(fmt, b"".join([reduce(or_, map(columns.__getitem__, row_bits[a]))
-                                 .to_bytes(size, byteorder) for a in last]))
-    for target, mask in zip([table[s + a] for a in last for s in starts], lanes):
+    n = len(row_bits)
+    size = len(table) // n * array(fmt).itemsize
+    offsets, span = [0], 1
+    for pool in pools[:0:-1]:
+        raw = _ors(columns, pool, row_bits, size)
+        columns, size = _cut(raw, n, fmt), len(raw) // n
+        offsets, span = [a * span + o for a in pool for o in offsets], span * n
+    lanes = array(fmt, _ors(columns, pools[0], row_bits, size))
+    for target, mask in zip([table[a * span + o] for a in pools[0] for o in offsets], lanes):
         gained[target] |= mask
 
 
@@ -106,10 +101,11 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
     the rows that gained bits in the round before. For an op f of arity k it
-    adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The tuples whose first
-    changed coordinate is i range over unchanged^i x changed x
-    everything^(k-1-i), so each tuple with a changed row is taken once.
-    `_fold` adds their images.
+    adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The tuples whose last
+    changed coordinate is i range over everything^i x changed x
+    unchanged^(k-1-i), so each tuple with a changed row is taken once.
+    `_fold` adds their images, folding from the last coordinate, so the
+    small `changed` pool is folded before the `everything` pools.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
@@ -125,10 +121,10 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
         for a in changed:
             row_bits[a] = list(_bits(rows[a]))
         gained = [0] * n
-        for k, table, slices in closures._tables:
+        for k, table, columns in closures._tables:
             for i in range(k):
-                pools = [unchanged] * i + [changed] + [everything] * (k - 1 - i)
-                _fold(table, slices, pools, row_bits, gained, fmt)
+                pools = [everything] * i + [changed] + [unchanged] * (k - 1 - i)
+                _fold(table, columns, pools, row_bits, gained, fmt)
         is_changed = [g & ~r != 0 for g, r in zip(gained, rows)]
         if not any(is_changed):
             return tuple(rows)
@@ -215,12 +211,12 @@ class Closures:
     @cached_property
     def _tables(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
         """Per op, the kernel's input: its arity k, its table and its n
-        packed slices (none at arity 0), lane i of slices[b] the mask
-        1 << table[b * n^(k-1) + i]; built on the kernel's first run."""
+        packed columns (none at arity 0), lane p of columns[b] the mask
+        1 << table[p * n + b]; built on the kernel's first run."""
         n = self.algebra.size
         fmt = _lane(n)
-        return tuple((k, table, _cut(array(fmt, [1 << v for v in table]).tobytes(), n) if k else [])
-                     for _, k, table in self.algebra.ops())
+        return tuple((k, table, _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt)
+                      if k else []) for _, k, table in self.algebra.ops())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair
@@ -250,14 +246,12 @@ class Closures:
     def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
         mask: the left or right image of I under R_I, with `base`'s seed a
-        candidate to grow R_I from. Masks become seeds only here, on a miss."""
+        candidate to grow R_I from. Masks become seeds only here, on a miss.
+        The caller has checked top and mask (`_closures_for`)."""
         memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
             n = self.algebra.size
-            _check_top(self.algebra, top)
-            if mask < 0 or mask >> n:
-                raise ValueOutOfRange("bitmask exceeds carrier size")
             seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
             rows = self._rows_of(seed, base)
             image = _left_mask if mode == "induction" else _right_mask

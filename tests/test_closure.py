@@ -341,12 +341,6 @@ class TestClosuresCache:
 
     def test_refusals(self):
         alg = by_name("z4-monoid")
-        with pytest.raises(ValueOutOfRange):
-            Closures(alg)._step("induction", 4, 1)
-        with pytest.raises(ValueOutOfRange):
-            Closures(alg)._step("induction", 0, 1 << 4)
-        with pytest.raises(ValueOutOfRange):
-            Closures(alg)._step("induction", 0, -1)
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         with pytest.raises(SizeOverflow):
             Closures(big)

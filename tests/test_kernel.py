@@ -56,25 +56,25 @@ def algebras_with_pairs(draw):
     return alg, pairs
 
 
-def _assert_slices_below_square(alg):
-    # per op of arity k >= 1, n slices of n^(k-1) lanes: n^k lanes in all,
-    # lane i the mask 1 << table[i], nothing of the square's (n^2)^k size;
-    # a lane is the narrowest of 8, 16, 32 and 64 bits that holds n bits
+def _assert_columns_below_square(alg):
+    # per op of arity k >= 1, n columns of n^(k-1) lanes: n^k lanes in all,
+    # lane p of column b the mask 1 << table[p * n + b], nothing of the
+    # square's (n^2)^k size; a lane is the narrowest of 8, 16, 32 and 64 bits
+    # that holds n bits
     n = alg.size
     width = next(w for w in (8, 16, 32, 64) if w >= n) // 8
-    for (_, arity, table), (k, same, slices) in zip(alg.ops(), Closures(alg)._tables, strict=True):
+    for (_, arity, table), (k, same, columns) in zip(alg.ops(), Closures(alg)._tables, strict=True):
         assert (k, same) == (arity, table)
         if not k:
-            assert slices == []
+            assert columns == []
             continue
-        assert len(slices) == n
+        assert len(columns) == n
         per, lanes = n ** (k - 1), []
-        for cut in slices:
-            raw = cut.to_bytes(per * width, byteorder)  # OverflowError past the last lane
-            lanes += [int.from_bytes(raw[j:j + width], byteorder)
-                      for j in range(0, len(raw), width)]
-        assert len(lanes) == n ** k
-        assert lanes == [1 << v for v in table]
+        for column in columns:
+            raw = column.to_bytes(per * width, byteorder)  # OverflowError past the last lane
+            lanes.append([int.from_bytes(raw[j:j + width], byteorder)
+                          for j in range(0, len(raw), width)])
+        assert [lane for row in zip(*lanes) for lane in row] == [1 << v for v in table]
 
 
 @settings(max_examples=300)
@@ -88,7 +88,7 @@ def test_equals_term_enumeration_on_the_square(case):
     assert rel.is_reflexive()
     assert is_compatible(alg, rel)
     assert all(pair in rel for pair in pairs)
-    _assert_slices_below_square(alg)
+    _assert_columns_below_square(alg)
 
 
 def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
@@ -264,13 +264,13 @@ def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
 
 @fixed_algebras
 def test_translation_tables_never_exceed_the_square(alg):
-    # named for the translation tables that the packed slices replaced; it
-    # checks the slices
-    _assert_slices_below_square(alg)
+    # named for the translation tables that the packed columns replaced; it
+    # checks the columns
+    _assert_columns_below_square(alg)
 
 
 def _assert_fold_exact(alg, rng, members=None):
-    # the fold through each op's packed slices against f(R[a1] x ... x R[ak]),
+    # the fold through each op's packed columns against f(R[a1] x ... x R[ak]),
     # on random pools and rows (`members` bits each, else dense): tuple by
     # tuple, each folded alone, then the whole product at once; a kernel row
     # is never empty, and an op of arity 0 is never folded
@@ -284,7 +284,7 @@ def _assert_fold_exact(alg, rng, members=None):
             return sorted(rng.sample(range(n), rng.randint(1, members)))
         return list(_bits(rng.getrandbits(n) | 1 << rng.randrange(n)))
 
-    for k, table, slices in Closures(alg)._tables:
+    for k, table, columns in Closures(alg)._tables:
         if not k:
             continue
         for _ in range(3):
@@ -295,26 +295,27 @@ def _assert_fold_exact(alg, rng, members=None):
                 image = sum({1 << table[index(bs)]
                              for bs in iterprod(*(row_bits[a] for a in args))})
                 alone = [0] * n
-                _fold(table, slices, [[a] for a in args], row_bits, alone, _lane(n))
+                _fold(table, columns, [[a] for a in args], row_bits, alone, _lane(n))
                 assert alone == [image if x == table[index(args)] else 0 for x in range(n)], args
                 want[table[index(args)]] |= image
             gained = [0] * n
-            _fold(table, slices, pools, row_bits, gained, _lane(n))
+            _fold(table, columns, pools, row_bits, gained, _lane(n))
             assert gained == want, pools
 
 
 @fixed_algebras
 def test_translation_tables_give_exact_images(alg):
     # named, like the test above, for the translation tables; it checks the
-    # fold's images through the packed slices
+    # fold's images through the packed columns
     _assert_fold_exact(alg, random.Random(f"fold/{alg.size}"))
 
 
 def _lane_cases():
     # the sizes where the lane's width or typecode changes; every table holds
-    # 0 and n - 1, so the top bit of the lane is folded
+    # 0 and n - 1, so the top bit of the lane is folded; ternary ops, whose
+    # folds transpose twice, up to 17 (32-bit lanes), where n^3 stays cheap
     for n in (8, 9, 16, 17, 32, 33, 64):
-        for k in (1, 2, 3) if n <= 9 else (1, 2):
+        for k in (1, 2, 3) if n <= 17 else (1, 2):
             rng = random.Random(f"lanes/{n}/{k}")
             table = [rng.choice((0, n - 1, rng.randrange(n))) for _ in range(n**k)]
             table[:2] = [0, n - 1]
@@ -330,11 +331,11 @@ def test_fold_is_exact_at_lane_boundaries(alg):
     # rows every image is the mask of all table values, whose bit n - 1 is
     # the top bit of a lane (1 << 63 at n = 64)
     n = alg.size
-    _assert_slices_below_square(alg)
+    _assert_columns_below_square(alg)
     _assert_fold_exact(alg, random.Random(f"fold-lanes/{n}"), members=4)
-    (k, table, slices), = Closures(alg)._tables
+    (k, table, columns), = Closures(alg)._tables
     gained = [0] * n
-    _fold(table, slices, [range(n)] * k, [list(range(n))] * n, gained, _lane(n))
+    _fold(table, columns, [range(n)] * k, [list(range(n))] * n, gained, _lane(n))
     every = sum(1 << v for v in set(table))
     assert every >> (n - 1) == 1
     assert gained == [every if x in table else 0 for x in range(n)]
