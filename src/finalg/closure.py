@@ -69,20 +69,24 @@ def _ors(columns: list[int], pool: Sequence[int], row_bits: list[list[int]], siz
 def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
           row_bits: list[list[int]], gained: list[int], fmt: str) -> None:
     """OR into gained[f(a1..ak)] the mask of f(b1..bk), each bj in row aj,
-    for every argument tuple in the product of `pools`, one pool per
-    coordinate, where f has `table` and row_bits[a] lists the (never empty)
-    row of a. Lane p of columns[b] is 1 << table[p*n + b], typecode `fmt`.
+    for every op f in `table` and every argument tuple in the product of
+    `pools`, one pool per coordinate, where row_bits[a] lists the (never
+    empty) row of a. `table` stacks the tables of every op of arity k, op
+    j's entry for index i at j*n^k + i: the ops act as one (k+1)-ary op
+    whose first argument picks the op and is never folded. Lane p of
+    columns[b] is 1 << table[p*n + b], typecode `fmt`.
 
     The coordinates are folded from the last to the first. Per a in the
     pool, the OR of the columns in row a serves every tuple folded so far;
     joined, these ints are a matrix whose last index is the coordinate
     before, which `_cut` transposes into its n columns. After the first
-    coordinate the lanes are the product's tuples in row-major order."""
+    coordinate the lanes are the product's tuples in row-major order, each
+    tuple once per op."""
     if not all(pools):
         return
     n = len(row_bits)
     size = len(table) // n * array(fmt).itemsize
-    offsets, span = [0], 1
+    offsets, span = range(0, len(table), n ** len(pools)), 1
     for pool in pools[:0:-1]:
         raw = _ors(columns, pool, row_bits, size)
         columns, size = _cut(raw, n, fmt), len(raw) // n
@@ -104,20 +108,24 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     adds f(R[a1] x ... x R[ak]) to rows[f(a1..ak)]. The tuples whose last
     changed coordinate is i range over everything^i x changed x
     unchanged^(k-1-i), so each tuple with a changed row is taken once.
-    `_fold` adds their images, folding from the last coordinate, so the
-    small `changed` pool is folded before the `everything` pools.
+    `_fold` adds their images for all ops of one arity at once, folding
+    from the last coordinate, so the small `changed` pool is folded before
+    the `everything` pools. The gains are ORed into `rows` in place. The
+    rounds stop when no row gains a bit, or once every row is full.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
-    in `base`, which is compatible."""
+    in `base`, which is compatible. The full square is reflexive and
+    compatible, so a full relation is closed."""
     n = closures.algebra.size
     fmt = _lane(n)
-    is_changed = [r != b for r, b in zip(rows, base)]
     everything = range(n)
+    full = (1 << n) - 1
     row_bits = [list(_bits(b)) for b in base]
-    while True:
-        changed = [a for a in everything if is_changed[a]]
-        unchanged = [a for a in everything if not is_changed[a]]
+    changed = [a for a in everything if rows[a] != base[a]]
+    while changed and rows.count(full) < n:
+        changed_set = set(changed)
+        unchanged = [a for a in everything if a not in changed_set]
         for a in changed:
             row_bits[a] = list(_bits(rows[a]))
         gained = [0] * n
@@ -125,10 +133,10 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
             for i in range(k):
                 pools = [everything] * i + [changed] + [unchanged] * (k - 1 - i)
                 _fold(table, columns, pools, row_bits, gained, fmt)
-        is_changed = [g & ~r != 0 for g, r in zip(gained, rows)]
-        if not any(is_changed):
-            return tuple(rows)
-        rows = [r | g for r, g in zip(rows, gained)]
+        changed = [a for a in everything if gained[a] & ~rows[a]]
+        for a in changed:
+            rows[a] |= gained[a]
+    return tuple(rows)
 
 
 def congruence_generated(
@@ -210,13 +218,19 @@ class Closures:
 
     @cached_property
     def _tables(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
-        """Per op, the kernel's input: its arity k, its table and its n
-        packed columns (none at arity 0), lane p of columns[b] the mask
-        1 << table[p * n + b]; built on the kernel's first run."""
+        """Per arity k >= 1, in the order the signature first names it, the
+        kernel's input: k, the tables of the ops of arity k concatenated in
+        signature order, and their n packed columns, lane p of columns[b]
+        the mask 1 << table[p * n + b]; no entry for arity 0. Built on the
+        kernel's first run."""
         n = self.algebra.size
         fmt = _lane(n)
-        return tuple((k, table, _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt)
-                      if k else []) for _, k, table in self.algebra.ops())
+        stacked: dict[int, list[int]] = {}
+        for _, k, table in self.algebra.ops():
+            if k:
+                stacked.setdefault(k, []).extend(table)
+        return tuple((k, tuple(table), _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt))
+                     for k, table in stacked.items())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair

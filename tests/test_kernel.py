@@ -2,9 +2,11 @@
 square A x A: term enumeration on random small algebras and on quaternary
 ops, the worklist closure on fixed algebras of up to 17 elements and on
 random algebras grown from a closed base; at the carrier limit n = 64, the
-worklist closure or a closed form. The fold that gives the kernel's images
-is checked on its own against the images taken tuple by tuple, also at the
-carrier sizes where the width of its packed lanes changes."""
+worklist closure or a closed form; on the catalog's mixed signatures at
+n = 10 and 16, a worklist over pairs that never materialises the square.
+The fold that gives the kernel's images is checked on its own against the
+images taken tuple by tuple, also with several ops of one arity stacked and
+at the carrier sizes where the width of its packed lanes changes."""
 from __future__ import annotations
 
 import random
@@ -26,7 +28,8 @@ from finalg import (
     semicongruence_generated,
     stabilized_term_images,
 )
-from finalg.catalog import cyclic_ring
+from finalg import closure
+from finalg.catalog import cyclic_module, cyclic_ring, cyclic_semiring
 from finalg.algebra import _bits
 from finalg.closure import Closures, _close, _fold, _lane
 from finalg.errors import SizeOverflow
@@ -57,19 +60,21 @@ def algebras_with_pairs(draw):
 
 
 def _assert_columns_below_square(alg):
-    # per op of arity k >= 1, n columns of n^(k-1) lanes: n^k lanes in all,
-    # lane p of column b the mask 1 << table[p * n + b], nothing of the
-    # square's (n^2)^k size; a lane is the narrowest of 8, 16, 32 and 64 bits
-    # that holds n bits
+    # one entry per arity k >= 1, in the order the signature first names it,
+    # holding the tables of that arity's m ops in signature order; n columns
+    # of m n^(k-1) lanes: m n^k lanes in all, lane p of column b the mask
+    # 1 << table[p * n + b], nothing of the square's (n^2)^k size; a lane is
+    # the narrowest of 8, 16, 32 and 64 bits that holds n bits
     n = alg.size
     width = next(w for w in (8, 16, 32, 64) if w >= n) // 8
-    for (_, arity, table), (k, same, columns) in zip(alg.ops(), Closures(alg)._tables, strict=True):
-        assert (k, same) == (arity, table)
-        if not k:
-            assert columns == []
-            continue
+    arities = dict.fromkeys(k for _, k, _ in alg.ops() if k)
+    stacked = [(k, tuple(v for _, arity, table in alg.ops() if arity == k for v in table))
+               for k in arities]
+    tables = Closures(alg)._tables
+    assert [(k, table) for k, table, _ in tables] == stacked
+    for k, table, columns in tables:
         assert len(columns) == n
-        per, lanes = n ** (k - 1), []
+        per, lanes = len(table) // n, []
         for column in columns:
             raw = column.to_bytes(per * width, byteorder)  # OverflowError past the last lane
             lanes.append([int.from_bytes(raw[j:j + width], byteorder)
@@ -270,10 +275,11 @@ def test_translation_tables_never_exceed_the_square(alg):
 
 
 def _assert_fold_exact(alg, rng, members=None):
-    # the fold through each op's packed columns against f(R[a1] x ... x R[ak]),
-    # on random pools and rows (`members` bits each, else dense): tuple by
-    # tuple, each folded alone, then the whole product at once; a kernel row
-    # is never empty, and an op of arity 0 is never folded
+    # the fold through each arity's stacked columns against f(R[a1] x ... x
+    # R[ak]) for every op f of that arity, op j's table at j * n^k, on random
+    # pools and rows (`members` bits each, else dense): tuple by tuple, each
+    # folded alone, then the whole product at once; a kernel row is never
+    # empty
     n = alg.size
 
     def index(args):
@@ -285,19 +291,20 @@ def _assert_fold_exact(alg, rng, members=None):
         return list(_bits(rng.getrandbits(n) | 1 << rng.randrange(n)))
 
     for k, table, columns in Closures(alg)._tables:
-        if not k:
-            continue
+        ops = range(0, len(table), n ** k)
         for _ in range(3):
             row_bits = [row() for _ in range(n)]
             pools = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(k)]
             want = [0] * n
             for args in iterprod(*pools):
-                image = sum({1 << table[index(bs)]
-                             for bs in iterprod(*(row_bits[a] for a in args))})
+                images = [0] * n
+                for j in ops:
+                    bss = iterprod(*(row_bits[a] for a in args))
+                    images[table[j + index(args)]] |= sum({1 << table[j + index(bs)] for bs in bss})
                 alone = [0] * n
                 _fold(table, columns, [[a] for a in args], row_bits, alone, _lane(n))
-                assert alone == [image if x == table[index(args)] else 0 for x in range(n)], args
-                want[table[index(args)]] |= image
+                assert alone == images, args
+                want = [w | i for w, i in zip(want, images)]
             gained = [0] * n
             _fold(table, columns, pools, row_bits, gained, _lane(n))
             assert gained == want, pools
@@ -310,16 +317,29 @@ def test_translation_tables_give_exact_images(alg):
     _assert_fold_exact(alg, random.Random(f"fold/{alg.size}"))
 
 
+def _lane_table(rng, n, k):
+    # every table holds 0 and n - 1, so the top bit of the lane is folded
+    table = [rng.choice((0, n - 1, rng.randrange(n))) for _ in range(n**k)]
+    table[:2] = [0, n - 1]
+    return table
+
+
 def _lane_cases():
-    # the sizes where the lane's width or typecode changes; every table holds
-    # 0 and n - 1, so the top bit of the lane is folded; ternary ops, whose
-    # folds transpose twice, up to 17 (32-bit lanes), where n^3 stays cheap
-    for n in (8, 9, 16, 17, 32, 33, 64):
-        for k in (1, 2, 3) if n <= 17 else (1, 2):
-            rng = random.Random(f"lanes/{n}/{k}")
-            table = [rng.choice((0, n - 1, rng.randrange(n))) for _ in range(n**k)]
-            table[:2] = [0, n - 1]
-            yield f"n{n}-arity{k}", make_algebra([("f", k)], n, {"f": table})
+    # the sizes where the lane's width or typecode changes; ternary ops,
+    # whose folds transpose twice, up to 17 (32-bit lanes), where n^3 stays
+    # cheap. The stacked cases put three ops of one arity around a constant
+    # and, for k >= 2, a unary op, so that each arity's tables stack in
+    # signature order
+    sizes = [(n, k) for n in (8, 9, 16, 17, 32, 33, 64) for k in (1, 2, 3) if n <= 17 or k < 3]
+    for n, k in sizes:
+        table = _lane_table(random.Random(f"lanes/{n}/{k}"), n, k)
+        yield f"n{n}-arity{k}", make_algebra([("f", k)], n, {"f": table})
+    for n, k in sizes:
+        rng = random.Random(f"stacked-lanes/{n}/{k}")
+        sig = [("f", k), ("c", 0)] + [("u", 1)] * (k > 1) + [("g", k), ("h", k)]
+        tables = {name: _lane_table(rng, n, arity) if arity else [rng.randrange(n)]
+                  for name, arity in sig}
+        yield f"n{n}-arity{k}-stacked", make_algebra(sig, n, tables)
 
 
 LANES = list(_lane_cases())
@@ -328,17 +348,88 @@ LANES = list(_lane_cases())
 @pytest.mark.parametrize("alg", [alg for _, alg in LANES], ids=[name for name, _ in LANES])
 def test_fold_is_exact_at_lane_boundaries(alg):
     # sparse rows keep the tuple-by-tuple product small at n = 64; on full
-    # rows every image is the mask of all table values, whose bit n - 1 is
-    # the top bit of a lane (1 << 63 at n = 64)
+    # rows op j maps every tuple to the mask of all its values, whose bit
+    # n - 1 is the top bit of a lane (1 << 63 at n = 64)
     n = alg.size
     _assert_columns_below_square(alg)
     _assert_fold_exact(alg, random.Random(f"fold-lanes/{n}"), members=4)
-    (k, table, columns), = Closures(alg)._tables
-    gained = [0] * n
-    _fold(table, columns, [range(n)] * k, [list(range(n))] * n, gained, _lane(n))
-    every = sum(1 << v for v in set(table))
-    assert every >> (n - 1) == 1
-    assert gained == [every if x in table else 0 for x in range(n)]
+    for k, table, columns in Closures(alg)._tables:
+        gained = [0] * n
+        _fold(table, columns, [range(n)] * k, [list(range(n))] * n, gained, _lane(n))
+        want = [0] * n
+        for j in range(0, len(table), n ** k):
+            values = set(table[j:j + n ** k])
+            every = sum(1 << v for v in values)
+            assert every >> (n - 1) == 1
+            for x in values:
+                want[x] |= every
+        assert gained == want
+
+
+def test_one_table_entry_per_arity():
+    # z8-module: add and sub binary, neg and the eight scalings unary, mal
+    # ternary, zero a constant
+    alg = cyclic_module(8).algebra
+    assert [(k, len(table)) for k, table, _ in Closures(alg)._tables] == \
+        [(2, 2 * 8**2), (1, 9 * 8), (3, 8**3)]
+
+
+def test_full_square_after_one_round_ends_the_closure(monkeypatch):
+    # z3-ring from (1, 0): the first round fills the square, which is
+    # closed, so no second round confirms it
+    alg = cyclic_ring(3).algebra
+    folds = []
+    fold = closure._fold
+    monkeypatch.setattr(closure, "_fold", lambda *args: folds.append(1) or fold(*args))
+    diagonal = [1 << a for a in range(3)]
+    rows = list(diagonal)
+    rows[1] |= 1
+    assert _close(Closures(alg), rows, diagonal) == (7, 7, 7)
+    assert len(folds) == sum(k for k, _, _ in Closures(alg)._tables)
+
+
+def _pair_worklist(alg, pairs):
+    # the subalgebra of A x A generated by the pairs and the diagonal, by a
+    # worklist over pairs that reads each op's table on both sides and never
+    # materialises the square: a round takes each argument tuple with a fresh
+    # pair once, by its first fresh coordinate
+    n = alg.size
+
+    def index(args):
+        return reduce(lambda i, a: i * n + a, args, 0)
+
+    current = list(dict.fromkeys([(a, a) for a in range(n)] + list(pairs)))
+    frontier = current
+    while frontier:
+        old = current[:len(current) - len(frontier)]
+        reached = set()
+        for _, k, table in alg.ops():
+            for i in range(k):
+                for args in iterprod(*[old] * i, frontier, *[current] * (k - 1 - i)):
+                    left, right = zip(*args)
+                    reached.add((table[index(left)], table[index(right)]))
+        frontier = list(reached.difference(current))
+        current += frontier
+    return BinRel.from_pairs(n, current)
+
+
+MIXED = [
+    ("z16-ring", cyclic_ring(16), [(8, 0)]),
+    ("z16-ring-quarter", cyclic_ring(16), [(4, 0)]),
+    ("z10-module", cyclic_module(10), [(5, 0)]),
+    ("z10-module-even", cyclic_module(10), [(2, 0)]),
+    ("z16-semiring", cyclic_semiring(16), [(1, 0)]),
+    ("z16-semiring-two-pairs", cyclic_semiring(16), [(0, 4), (6, 10)]),
+]
+
+
+@pytest.mark.parametrize("entry, pairs", [(entry, pairs) for _, entry, pairs in MIXED],
+                         ids=[name for name, _, _ in MIXED])
+def test_mixed_signature_equals_pair_worklist(entry, pairs):
+    # several ops of one arity beside ops of others, so each round folds
+    # stacked tables; the ternary mal keeps the relations small
+    alg = entry.algebra
+    assert semicongruence_generated(alg, pairs) == _pair_worklist(alg, pairs)
 
 
 def test_oversized_carrier_still_overflows():
