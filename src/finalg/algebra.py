@@ -171,6 +171,17 @@ class FiniteAlgebra:
         return self.table(name)[idx]
 
 
+def _power(base: int, exponent: int) -> str:
+    """base**exponent in decimal, or as `base**exponent` past Python's
+    int-to-str limit (4300 digits by default) or, uncomputed, past 16384 bits."""
+    try:
+        if exponent * (base.bit_length() - 1) <= 16384:
+            return str(base**exponent)
+    except ValueError:
+        pass
+    return f"{base}**{exponent}"
+
+
 def make_algebra(
     sig: Signature | Iterable[tuple[str, int]],
     size: int,
@@ -190,9 +201,10 @@ def make_algebra(
         if name not in tables:
             raise ArityMismatch(f"no table for operation {name!r}")
         table = tuple(map(int, tables[name]))
-        if len(table) != size**arity:
+        # past the table's bit length, size**arity cannot match: not computed
+        if size > 1 and arity > len(table).bit_length() or len(table) != size**arity:
             raise ArityMismatch(
-                f"table for {name!r} has {len(table)} entries, expected {size**arity}"
+                f"table for {name!r} has {len(table)} entries, expected {_power(size, arity)}"
             )
         if min(table) < 0 or max(table) >= size:
             bad = next(v for v in table if not 0 <= v < size)

@@ -142,24 +142,13 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
 def congruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
-    """Smallest congruence containing the pairs: the congruence generated by
-    their semicongruence R, the union of the alternating chain R, R~R,
-    RR~R, ... (R~ the opposite of R). Reflexivity makes the chain
-    inclusion-increasing, so it stops when a full alternation adds
-    nothing."""
+    """Smallest congruence containing the pairs: the transitive closure, by squaring,
+    of R u R~ (R their semicongruence, reflexive and compatible, so the closure is too)."""
     rel = semicongruence_generated(algebra, pairs)
-    rev = opposite(rel)
-    acc = rel
-    while True:
-        step = compose(rel, compose(rev, acc))
-        if step == acc:
-            return acc
+    acc = rel.union(opposite(rel))
+    while (step := compose(acc, acc)) != acc:
         acc = step
-
-
-def _check_top(algebra: FiniteAlgebra, top: int) -> None:
-    if not 0 <= top < algebra.size:
-        raise ValueOutOfRange(f"top element {top} outside carrier of size {algebra.size}")
+    return acc
 
 
 @dataclass(frozen=True)
@@ -173,11 +162,9 @@ class ClosureReport:
     steps_to_fixpoint: int | None
 
     def distinct_stages(self) -> tuple[ElementSet, ...]:
-        out = [self.chain[0]]
-        for stage in self.chain[1:]:
-            if stage != out[-1]:
-                out.append(stage)
-        return tuple(out)
+        """The chain without its repeated last stage: `iterate`'s chains
+        increase strictly up to the fixpoint."""
+        return self.chain if self.steps_to_fixpoint is None else self.chain[:-1]
 
     def final(self) -> ElementSet:
         return self.chain[-1]
@@ -296,9 +283,10 @@ def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: st
     carrier is refused as the kernel refuses its pairs; a set over another
     carrier with side "left" or "right" as that image refuses it, with side
     "set" as a set."""
-    _check_top(algebra, top)
-    closures = _closures(algebra)
     n = algebra.size
+    if not 0 <= top < n:
+        raise ValueOutOfRange(f"top element {top} outside carrier of size {n}")
+    closures = _closures(algebra)
     if subset.mask >> n:
         x = next(x for x in subset if x >= n)
         raise ValueOutOfRange(f"pair ({x},{top}) outside carrier of size {n}")
@@ -339,6 +327,8 @@ def iterate(
 
     Both steps are increasing, so each stage's relation may grow from the
     one before, and every relation and step is kept by the module's `Closures`."""
+    if mode not in ("induction", "deduction"):
+        raise ValueOutOfRange(f"unknown mode {mode!r}; choose 'induction' or 'deduction'")
     n = algebra.size
     if max_steps is None:
         max_steps = n + 1
@@ -383,6 +373,8 @@ def power_images(
     to the first set that repeats an earlier one, which is left out. For a
     reflexive R the chain increases, so its last set is the union of all the
     powers."""
+    if side not in ("left", "right"):
+        raise ValueOutOfRange(f"unknown side {side!r}; choose 'left' or 'right'")
     image = left_image if side == "left" else right_image
     out = [subset]
     while (nxt := image(rel, out[-1])) not in out:

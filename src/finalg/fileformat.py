@@ -151,7 +151,11 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             if arity < 0:
                 raise p._last("arity must be non-negative")
             symbols.append((op_name, arity))
-            tables[op_name] = p.table(size, size**arity)
+            # past the tokens' bit length size**arity outruns them: the table
+            # fails at or before its last token, and the power is not computed
+            left = len(p.words) - p.pos
+            big = size > 1 and arity > left.bit_length()
+            tables[op_name] = p.table(size, left + 1 if big else size**arity)
         elif word == "const":
             p.take()
             const_name = p.name("constant name")

@@ -15,11 +15,9 @@ from .errors import CarrierTooLarge, ValueOutOfRange
 
 
 def subsets_in_order(size: int, nonempty: bool = True) -> Iterator[ElementSet]:
-    """All subsets ordered by cardinality, ties broken by numeric bitmask."""
-    masks = sorted(range(1 << size), key=lambda m: (m.bit_count(), m))
-    for mask in masks:
-        if nonempty and mask == 0:
-            continue
+    """All subsets, the empty one only if not `nonempty`, ordered by
+    cardinality, ties broken by numeric bitmask."""
+    for mask in sorted(range(int(nonempty), 1 << size), key=lambda m: (m.bit_count(), m)):
         yield ElementSet(size, mask)
 
 
@@ -47,7 +45,8 @@ def algebra_rank(
 
     `iterate` reads every subset's relations from the one kept `Closures`:
     each mask is stepped once, and in enumeration order R_T is the kept R of
-    T less one element when that holds T, and is grown from one otherwise."""
+    T less one element when that holds T, and is grown from one otherwise.
+    `iterate` refuses an unknown mode at the first subset, before any step."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(
             f"carrier size {algebra.size} exceeds enumeration limit {ENUMERATION_LIMIT}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .algebra import ElementSet, generate_subalgebra, product_square, stabilized_term_images
 from .catalog import CatalogEntry, build_catalog
@@ -96,17 +95,6 @@ class _Collector:
         self.check(expected == actual, algebra, subset, check, expected, actual)
 
 
-class _Sandwich(NamedTuple):
-    """The expected side of a `theorem-c` sandwich check: the bounds, shown
-    as `low<=stage<=high` when the check fails."""
-
-    low: ElementSet
-    high: ElementSet
-
-    def __str__(self) -> str:
-        return f"{self.low}<=stage<={self.high}"
-
-
 def _suite_theorem_a(col: _Collector, limit: int) -> None:
     # nonempty set normal iff one induction step and one deduction step fix it
     for entry in build_catalog(limit):
@@ -153,12 +141,10 @@ def _suite_theorem_c(col: _Collector, limit: int) -> None:
                 powers = power_images(rel, subset, side)
                 powers += powers[-1:] * (hi + 1 - len(powers))
                 for n in range(max_n + 1):
-                    stage = report.stage(n)
-                    ok = powers[n].issubset(stage) and stage.issubset(powers[2**n - 1])
-                    col.check(
-                        ok, entry.name, subset, f"{mode}-sandwich-n{n}",
-                        _Sandwich(powers[n], powers[2**n - 1]), stage,
-                    )
+                    stage, low, high = report.stage(n), powers[n], powers[2**n - 1]
+                    ok = low.issubset(stage) and stage.issubset(high)
+                    col.check(ok, entry.name, subset, f"{mode}-sandwich-n{n}",
+                              None if ok else f"{low}<=stage<={high}", stage)
                 col.equal(
                     entry.name, subset, f"{mode}-fixpoint-is-union-of-powers",
                     powers[-1], report.final(),
@@ -255,17 +241,10 @@ def _suite_comm_monoid(col: _Collector, limit: int) -> None:
 
 
 def _pair_sets(size: int) -> list[list[tuple[int, int]]]:
-    """All pair sets for size <= 2, singletons and 2-element sets above."""
+    """The pair sets by size: all of them for size <= 2, those of at most two pairs above."""
     codes = [(a, b) for a in range(size) for b in range(size)]
-    if size <= 2:
-        out: list[list[tuple[int, int]]] = []
-        for r in range(len(codes) + 1):
-            out.extend(list(c) for c in combinations(codes, r))
-        return out
-    out = [[]]
-    out.extend([c] for c in codes)
-    out.extend(list(c) for c in combinations(codes, 2))
-    return out
+    most = len(codes) if size <= 2 else 2
+    return [list(c) for r in range(most + 1) for c in combinations(codes, r)]
 
 
 def _check_ranks(col: _Collector, entry: CatalogEntry, bound: int) -> None:

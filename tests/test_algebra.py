@@ -113,6 +113,15 @@ class TestMakeAlgebra:
         with pytest.raises(ArityMismatch):
             make_algebra([("add", 2), ("zero", 0)], 2, {"add": [0, 1, 1], "zero": [0]})
 
+    @pytest.mark.parametrize("arity, expected", [
+        (3, "1000"), (4285, "1" + "0" * 4285), (4300, "10**4300"), (20_000_000, "10**20000000"),
+    ])
+    def test_table_length_message(self, arity, expected):
+        # the count is written as a power past Python's 4300-digit str limit
+        with pytest.raises(ArityMismatch) as exc:
+            make_algebra([("f", arity)], 10, {"f": [0]})
+        assert str(exc.value) == f"table for 'f' has 1 entries, expected {expected}"
+
     def test_entry_out_of_range(self):
         with pytest.raises(ValueOutOfRange):
             make_algebra([("f", 1)], 2, {"f": [0, 2]})

@@ -243,6 +243,17 @@ class TestInputErrors:
         assert err.startswith(f"error: {path} is not UTF-8 text: ")
         assert err.count("\n") == 1
 
+    def test_huge_arity_fails_at_the_table_end(self, tmp_path):
+        # 10**20000000 entries are never counted: the table fails at 'end'
+        path = tmp_path / "huge.ua"
+        path.write_text("algebra huge\nsize 10\nop f 20000000\n0\nend\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "finalg", "semicong", str(path), "--set", "0"],
+            capture_output=True, text=True, env=_fresh_env(), timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: 5:1: expected table entry, found 'end'\n")
+
 
 class TestRefusalOrder:
     """Where two faults coincide, the first one reported is the file, then

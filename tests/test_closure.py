@@ -32,6 +32,13 @@ from finalg import (
     top_induction,
 )
 from finalg import closure
+from finalg.catalog import (
+    cyclic_module,
+    cyclic_monoid,
+    cyclic_ring,
+    minplus_semiring,
+    saturating_monoid,
+)
 from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
@@ -446,6 +453,16 @@ class TestCongruence:
             assert rel.is_transitive()
             assert is_compatible(alg, rel)
 
+    @pytest.mark.parametrize("entry", [
+        saturating_monoid(15), saturating_monoid(31), minplus_semiring(14),
+        minplus_semiring(22), cyclic_monoid(20), cyclic_ring(10), cyclic_module(10),
+    ], ids=lambda entry: entry.name)
+    def test_singleton_seeds_above_six_match_unionfind(self, entry):
+        alg, top = entry.algebra, entry.algebra.top
+        for x in range(alg.size):
+            assert congruence_generated(alg, [(x, top)]) == \
+                congruence_by_unionfind(alg, [(x, top)]), x
+
     def test_contains_semicongruence(self):
         alg = by_name("sat2-monoid")
         pairs = [(2, 0)]
@@ -523,6 +540,13 @@ class TestIterate:
         report = iterate(alg, 0, empty, "deduction")
         assert report.chain == (empty, empty)
         assert report.steps_to_fixpoint == 0
+
+    def test_unknown_mode_is_refused(self):
+        alg = by_name("z4-monoid")
+        kept = closure._kept[0]
+        with pytest.raises(ValueOutOfRange, match="^unknown mode 'Induction'; choose"):
+            iterate(alg, 0, ElementSet.of(4, [1]), "Induction")
+        assert closure._kept[0] is kept
 
     def test_boolean_deduction_chain(self):
         alg = by_name("bool-semiring")
@@ -617,6 +641,10 @@ class TestPowerImages:
         chain = power_images(rel, ElementSet.of(3, [0]), "left")
         assert [set(s) for s in chain] == [{0}, {0, 1}, {0, 1, 2}]
         assert [set(s) for s in power_images(rel, ElementSet.of(3, [0]), "right")] == [{0}]
+
+    def test_unknown_side_is_refused(self):
+        with pytest.raises(ValueOutOfRange, match="^unknown side 'up'; choose 'left' or 'right'$"):
+            power_images(BinRel.diagonal(2), ElementSet.of(2, [0]), "up")
 
     def test_power_images_stop_on_a_cycle(self):
         swap = BinRel.from_pairs(2, [(0, 1), (1, 0)])

@@ -44,6 +44,10 @@ class TestAlgebraRank:
                     result = algebra_rank(entry.algebra, 0, mode)
                     assert result.rank == 0
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueOutOfRange, match="^unknown mode 'bogus'; choose"):
+            algebra_rank(by_name("z4-monoid"), 0, "bogus")
+
     def test_pointed_set_ranks(self):
         alg = by_name("pointed-3")
         assert algebra_rank(alg, 0, "induction").rank == 0
