@@ -138,7 +138,9 @@ class FiniteAlgebra:
     """Immutable finite algebra: signature, carrier size, tables, optional top.
 
     `tables` is aligned with `sig.symbols`; `top` is a distinguished element
-    used by the closure operators, or None.
+    used by the closure operators, or None. The closure engine keeps the
+    relations it computes on an object in that object, outside the fields
+    (`closure.Closures`), so they live as long as the object does.
     """
 
     sig: Signature

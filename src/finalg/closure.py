@@ -5,8 +5,9 @@ Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
 normality compares I against the congruence class of top. Each of them reads
-R_I from the one kept `Closures`, which keeps every semicongruence of one
-algebra, keyed by its generating pairs, and grows each from a kept one.
+R_I from the algebra object's own `Closures`, which keeps every
+semicongruence of that algebra, keyed by its generating pairs, and grows
+each from a kept one.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ def semicongruence_generated(
     the subalgebra of A x A generated by the pairs and the diagonal."""
     closures = _closures(algebra)
     seed = BinRel.from_pairs(algebra.size, pairs).support().mask
-    _kept[0] = closures
     return BinRel(algebra.size, closures._rows_of(seed))
 
 
@@ -98,9 +98,9 @@ def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
     """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
-    of the algebra of `closures`, given that `base`, row by row inside
-    `rows`, is already reflexive and compatible: the diagonal, or a kept
-    relation grown on.
+    kept by `closures`, given that `base`, row by row inside `rows`, is
+    already reflexive and compatible: the diagonal, or a kept relation
+    grown on.
 
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
@@ -117,7 +117,7 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     computed it adds nothing new, and in the first round such a tuple lies
     in `base`, which is compatible. The full square is reflexive and
     compatible, so a full relation is closed."""
-    n = closures.algebra.size
+    n = closures.size
     fmt = _lane(n)
     everything = range(n)
     full = (1 << n) - 1
@@ -180,25 +180,29 @@ class ClosureReport:
 
 
 class Closures:
-    """The semicongruences of one algebra, kept by their seed for the life
-    of the object, and the induction and deduction step of every set and
-    top asked for. The seed is the support of the generating pairs, pair
-    (a, b) at bit a * n + b; R_I is the entry for the seed I x {top}. One
-    rule (`_rows_of`) reads a missing entry off a kept one or grows it.
+    """The semicongruences of one algebra, kept by their seed, and the
+    induction and deduction step of every set and top asked for. The seed
+    is the support of the generating pairs, pair (a, b) at bit a * n + b;
+    R_I is the entry for the seed I x {top}. One rule (`_rows_of`) reads a
+    missing entry off a kept one or grows it.
 
-    The module keeps one `Closures`: the last one its functions built. Every
-    call of theirs on the same algebra object reads its relations from it,
-    whatever the top; a call on another algebra object replaces it. Until
-    then it stays alive: after a rank it holds the rank's whole working set
-    (3.3 MB for z14-monoid, whose 16,384 seeds share 20 tuples), which the
-    rank held as it ran. Threads share the slot without a lock: a `Closures`
-    only stores values that are the same whoever computes them."""
+    Each algebra object owns one, made by the first call of this module's
+    functions on it (`_closures`) and kept for exactly the object's
+    lifetime: every call on that object reads its relations from it,
+    whatever the top, and an equal but distinct object has its own. It
+    holds the carrier size and the op tables, never the algebra, so a
+    dropped algebra frees its relations by reference counting. An algebra
+    kept alive keeps them: after a rank, the rank's whole working set
+    (3.3 MB for z14-monoid, whose 16,384 seeds share 20 tuples). Threads
+    share it without a lock: a `Closures` only stores values that are the
+    same whoever computes them."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
         if n * n > DEFAULT_CARRIER_LIMIT:
             raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
-        self.algebra = algebra
+        self.size = n
+        self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
         # one mask -> mask map per (mode, top)
         self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
@@ -210,12 +214,11 @@ class Closures:
         signature order, and their n packed columns, lane p of columns[b]
         the mask 1 << table[p * n + b]; no entry for arity 0. Built on the
         kernel's first run."""
-        n = self.algebra.size
+        n = self.size
         fmt = _lane(n)
         stacked: dict[int, list[int]] = {}
-        for _, k, table in self.algebra.ops():
-            if k:
-                stacked.setdefault(k, []).extend(table)
+        for k, table in self._ops:
+            stacked.setdefault(k, []).extend(table)
         return tuple((k, tuple(table), _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt))
                      for k, table in stacked.items())
 
@@ -225,7 +228,7 @@ class Closures:
         The first R_J holding T is R_T (Sg(diagonal + T) is monotone in T),
         kept as that tuple; else the kernel closes the first counted R_J
         plus the pairs of T outside J."""
-        kept, n = self._rows, self.algebra.size
+        kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
         start = None
@@ -252,7 +255,7 @@ class Closures:
         memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
-            n = self.algebra.size
+            n = self.size
             seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
             rows = self._rows_of(seed, base)
             image = _left_mask if mode == "induction" else _right_mask
@@ -260,26 +263,18 @@ class Closures:
         return got
 
 
-# one slot: the last Closures the module's functions built. Its own reference
-# keeps the id of its algebra from being reused by another object. The slot
-# is a one-element list, so filling it rebinds no module attribute: tools
-# that patch and restore the module's attributes compare them by identity.
-_kept: list[Closures | None] = [None]
-
-
 def _closures(algebra: FiniteAlgebra) -> Closures:
-    """The kept `Closures` if it is for this algebra object, else a fresh
-    one. The caller keeps it once the call's own checks pass, so a refused
-    call leaves the slot in place."""
-    closures = _kept[0]
-    if closures is None or closures.algebra is not algebra:
-        closures = Closures(algebra)
-    return closures
+    """The algebra object's own `Closures`, made on its first call and kept
+    in the object's `__dict__` (not a dataclass field, so equality, hashing
+    and `dataclasses.replace` ignore it). `setdefault` gives threads that
+    race on a new object one `Closures`."""
+    own = vars(algebra)
+    return own.get("_closures") or own.setdefault("_closures", Closures(algebra))
 
 
 def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: str) -> Closures:
-    """The `Closures` for this algebra object, kept in the slot once top,
-    the square and the set are checked. A set with a member outside the
+    """The `Closures` of this algebra object, once top, the square and the
+    set are checked, in that order. A set with a member outside the
     carrier is refused as the kernel refuses its pairs; a set over another
     carrier with side "left" or "right" as that image refuses it, with side
     "set" as a set."""
@@ -291,7 +286,6 @@ def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: st
         x = next(x for x in subset if x >= n)
         raise ValueOutOfRange(f"pair ({x},{top}) outside carrier of size {n}")
     _check_image_carrier(n, subset, side)
-    _kept[0] = closures
     return closures
 
 
@@ -326,7 +320,7 @@ def iterate(
     current set at every step, until a fixpoint or max_steps (default n + 1).
 
     Both steps are increasing, so each stage's relation may grow from the
-    one before, and every relation and step is kept by the module's `Closures`."""
+    one before, and every relation and step is kept by the algebra's `Closures`."""
     if mode not in ("induction", "deduction"):
         raise ValueOutOfRange(f"unknown mode {mode!r}; choose 'induction' or 'deduction'")
     n = algebra.size

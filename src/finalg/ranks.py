@@ -43,7 +43,7 @@ def algebra_rank(
 ) -> RankResult:
     """Largest steps-to-fixpoint over every nonempty subset of the carrier.
 
-    `iterate` reads every subset's relations from the one kept `Closures`:
+    `iterate` reads every subset's relations from the algebra's `Closures`:
     each mask is stepped once, and in enumeration order R_T is the kept R of
     T less one element when that holds T, and is grown from one otherwise.
     `iterate` refuses an unknown mode at the first subset, before any step."""

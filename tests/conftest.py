@@ -1,13 +1,16 @@
 """Shared test configuration.
 
-Registers a deterministic hypothesis profile and an acceptance-line recorder:
-the acceptance tests each record one PASS/FAIL line, and all recorded lines
-are printed in a dedicated block at the end of the pytest run.
+Registers a deterministic hypothesis profile, starts every test on a cold
+catalog, and keeps an acceptance-line recorder: the acceptance tests each
+record one PASS/FAIL line, and all recorded lines are printed in a dedicated
+block at the end of the pytest run.
 """
 from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from finalg import catalog
 
 settings.register_profile(
     "deterministic",
@@ -18,6 +21,16 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def cold_catalog():
+    """Clear the cache of every catalog builder, so each test builds its own
+    entries, whose algebras hold no relation an earlier test computed: a
+    test runs the same kernel paths whatever ran before it."""
+    for builder in vars(catalog).values():
+        if hasattr(builder, "cache_clear"):
+            builder.cache_clear()
 
 
 @pytest.fixture

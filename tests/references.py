@@ -10,7 +10,7 @@ from finalg.relations import left_image, right_image
 
 def generated(alg, pairs):
     """The semicongruence generated by the pairs, closed from the diagonal by
-    the kernel on a fresh Closures: no seed, no kept relation and no slot."""
+    the kernel on a fresh Closures: no seed and no kept relation."""
     diagonal = [1 << a for a in range(alg.size)]
     rows = list(diagonal)
     for a, b in pairs:

@@ -57,6 +57,16 @@ class TestComposition:
         second = [(e.name, e.algebra) for e in build_catalog(4)]
         assert first == second
 
+    def test_entries_are_built_once_and_shared(self):
+        # every call returns a new list, of the same entry objects for the
+        # entries two limits have in common
+        four, five = build_catalog(4), build_catalog(5)
+        again = build_catalog(4)
+        assert again is not four and again == four
+        assert all(a is b for a, b in zip(again, four))
+        by_name = {e.name: e for e in five}
+        assert all(by_name[e.name] is e for e in four)
+
     def test_limit_validation(self):
         with pytest.raises(ValueOutOfRange):
             build_catalog(1)

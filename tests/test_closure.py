@@ -4,11 +4,13 @@ images."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import random
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -66,10 +68,16 @@ def _top_component(rel, top):
     return ElementSet.of(n, seen)
 
 
+def own(alg):
+    """The algebra object's own `Closures`, read without making one: None
+    until a closure function has run on it."""
+    return vars(alg).get("_closures")
+
+
 def kept_induced(closures, top, mask):
     """R_I as `closures` keeps it: the entry for the seed I x {top}, with
     pair (x, top) at bit x * n + top."""
-    n = closures.algebra.size
+    n = closures.size
     seed = sum(1 << (x * n + top) for x in ElementSet(n, mask))
     return BinRel(n, closures._rows_of(seed))
 
@@ -134,6 +142,7 @@ class TestClosuresCache:
             queries += [(None, rng.sample(codes, rng.randint(1, min(3, len(codes)))))
                         for _ in range(1 << n)]
             rng.shuffle(queries)
+            kept = closure._closures(alg)
             for top, query in queries:
                 if top is None:
                     got = semicongruence_generated(alg, query)
@@ -145,7 +154,7 @@ class TestClosuresCache:
                 assert top_deduction(alg, top, subset) == right_image(rel, subset), \
                     (entry.name, top, query)
                 assert clot_closure(alg, top, subset) == left_image(rel, ElementSet.of(n, [top]))
-            assert closure._kept[0].algebra is alg
+            assert own(alg) is kept
 
     def test_grown_from_any_kept_subset(self):
         rng = random.Random(5)
@@ -195,8 +204,8 @@ class TestClosuresCache:
         report = iterate(alg, alg.top, ElementSet.of(6, [3, 4]), "deduction")
         stages = report.distinct_stages()
         assert [sorted(s) for s in stages] == [[3, 4], [0, 1, 3, 4], [0, 1, 2, 3, 4]]
-        kept = closure._kept[0]
-        assert kept.algebra is alg and len(starts) == 2
+        kept = own(alg)
+        assert kept is not None and len(starts) == 2
         assert starts[1] is kept_induced(kept, alg.top, stages[0].mask).rows
 
     def test_iterate_through_the_cache_equals_the_reference(self):
@@ -213,17 +222,17 @@ class TestClosuresCache:
                     iterate_afresh(alg, top, subset, "deduction")
 
     def test_one_kept_closures_per_algebra_object(self, monkeypatch):
-        # a second call on the same algebra object closes nothing new, and a
-        # call on another top keeps the Closures; an equal but distinct
-        # object replaces it, and a refused call leaves it in place
+        # a second call on the same algebra object, or a call on another
+        # top, shares its Closures and closes nothing new; an equal but
+        # distinct object gets its own, and each refusal raises as before
         closes = []
         close = closure._close
         monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         alg = by_name("sat3-monoid")
         subset = ElementSet.of(4, [3])
         report = iterate(alg, alg.top, subset, "deduction")
-        kept = closure._kept[0]
-        assert kept.algebra is alg and closes
+        kept = own(alg)
+        assert kept is not None and closes
         assert set(kept._steps["deduction", alg.top]) == {s.mask for s in report.chain}
         closes.clear()
         assert iterate(alg, alg.top, subset, "deduction") == report
@@ -231,37 +240,58 @@ class TestClosuresCache:
             op(alg, alg.top, subset)
         for op in (semicongruence_generated, congruence_generated):
             op(alg, [(3, alg.top)])
-        assert closure._kept[0] is kept and not closes
+        assert own(alg) is kept and not closes
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         twin = dataclasses.replace(alg)
         refused = (
-            (ValueOutOfRange, lambda: top_induction(alg, 4, subset)),
-            (SizeOverflow, lambda: top_induction(big, 0, subset)),
-            (SizeOverflow, lambda: semicongruence_generated(big, [(1, 0)])),
-            (ValueOutOfRange, lambda: top_induction(twin, 0, ElementSet.of(6, [5]))),
-            (SizeMismatch, lambda: clot_closure(twin, 0, ElementSet.of(5, [1]))),
-            (ValueOutOfRange, lambda: semicongruence_generated(twin, [(4, 0)])),
+            (ValueOutOfRange, r"^top element 4 outside carrier of size 4$",
+             lambda: top_induction(alg, 4, subset)),
+            (SizeOverflow, r"^squared carrier 4225 exceeds limit 4096$",
+             lambda: top_induction(big, 0, subset)),
+            (SizeOverflow, r"^squared carrier 4225 exceeds limit 4096$",
+             lambda: semicongruence_generated(big, [(1, 0)])),
+            (ValueOutOfRange, r"^pair \(5,0\) outside carrier of size 4$",
+             lambda: top_induction(twin, 0, ElementSet.of(6, [5]))),
+            (SizeMismatch, r"^set over a different carrier$",
+             lambda: clot_closure(twin, 0, ElementSet.of(5, [1]))),
+            (ValueOutOfRange, r"^pair \(4,0\) outside carrier of size 4$",
+             lambda: semicongruence_generated(twin, [(4, 0)])),
         )
-        for error, call in refused:
-            with pytest.raises(error):
+        for error, message, call in refused:
+            with pytest.raises(error, match=message):
                 call()
-            assert closure._kept[0] is kept
+            assert own(alg) is kept and own(big) is None
         other_top = (alg.top + 1) % 4
         assert iterate(alg, other_top, subset, "deduction").chain[0] == subset
-        assert closure._kept[0] is kept and closes
+        assert own(alg) is kept and closes
         assert ("deduction", other_top) in kept._steps
-        for other in (twin, alg):
-            closes.clear()
-            assert iterate(other, alg.top, subset, "deduction") == report
-            assert closure._kept[0] is not kept and closes
-            kept = closure._kept[0]
-            assert kept.algebra is other
+        closes.clear()
+        assert iterate(twin, alg.top, subset, "deduction") == report
+        assert twin == alg and own(twin) is not kept and closes
+        closes.clear()
+        assert iterate(alg, alg.top, subset, "deduction") == report
+        assert own(alg) is kept and not closes
+
+    def test_a_dropped_algebra_is_freed_without_the_collector(self):
+        # a Closures holds no reference back to its algebra, so the last
+        # reference to an algebra that has run closures frees it, and its
+        # relations, by reference counting alone
+        alg = dataclasses.replace(cyclic_ring(4).algebra)
+        iterate(alg, alg.top, ElementSet.of(4, [2]), "deduction")
+        congruence_generated(alg, [(1, 0)])
+        dropped = weakref.ref(alg)
+        gc.disable()
+        try:
+            del alg
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_threads_sharing_the_kept_closures_get_the_reference(self):
-        # every thread reads and replaces the one slot; a Closures only stores
-        # values that are the same whoever computes them, so threads that
-        # interleave on shared algebra objects, equal copies and other tops
-        # must all get the reference images
+        # threads share each algebra object's Closures without a lock; a
+        # Closures only stores values that are the same whoever computes
+        # them, so threads that interleave on shared algebra objects, equal
+        # copies and other tops must all get the reference images
         cases = []
         for entry in build_catalog(4):
             alg = entry.algebra
@@ -359,9 +389,9 @@ class TestClosuresCache:
             iterate(alg, 0, ElementSet.of(5, [1]), "deduction")
         with pytest.raises(SizeMismatch, match="source set over a different carrier"):
             iterate(alg, 0, ElementSet.of(5, [1]), "deduction", 0)
-        # the single-shot operators, with another algebra's Closures kept and
-        # with this one's, refuse as they did when each closed R_I from the
-        # diagonal
+        # the single-shot operators, after a call on another algebra and
+        # after one on this one, refuse as they did when each closed R_I
+        # from the diagonal
         one = ElementSet.of(4, [1])
         for kept in (by_name("z4-group"), alg):
             for op in (top_induction, top_deduction, clot_closure, is_top_normal):
@@ -389,10 +419,10 @@ class TestClosuresCache:
                         op(alg, 0, other)
 
     def test_single_shot_operators_equal_the_reference(self):
-        # every mask through the kept Closures after random other masks were
-        # kept, then every mask again right after a call on an equal but
-        # distinct algebra object, which replaced it, or on another top,
-        # which kept it
+        # every mask through the algebra's Closures after random other masks
+        # were kept, then every mask again right after a call on an equal
+        # but distinct algebra object, which has its own, or on another top,
+        # which shares it
         rng = random.Random(7)
         for entry in build_catalog(5):
             alg, top = entry.algebra, entry.algebra.top
@@ -415,22 +445,21 @@ class TestClosuresCache:
 
             for mask in rng.sample(sorted(expected), min(6, len(expected))):
                 rng.choice((top_induction, top_deduction))(alg, top, ElementSet(n, mask))
-            kept = closure._kept[0]
+            kept = own(alg)
             masks = rng.sample(sorted(expected), len(expected))
             for mask in masks:
                 assert single_shots(mask) == expected[mask], (entry.name, mask)
-            assert closure._kept[0] is kept and len(kept._rows) == 1 << n, entry.name
+            assert own(alg) is kept and len(kept._rows) == 1 << n, entry.name
             others = [(dataclasses.replace(alg), top)]
             if n > 1:
                 others.append((alg, (top + 1) % n))
             for i, mask in enumerate(masks):
                 other, other_top = others[i % len(others)]
                 clot_closure(other, other_top, ElementSet(n, mask))
-                assert closure._kept[0].algebra is other
-                assert (closure._kept[0] is kept) == (other is alg)
+                assert own(other) is not None
+                assert (own(other) is kept) == (other is alg)
                 assert single_shots(mask) == expected[mask], (entry.name, mask, other_top)
-                assert closure._kept[0].algebra is alg
-                kept = closure._kept[0]
+                assert own(alg) is kept
 
 
 class TestCongruence:
@@ -543,10 +572,10 @@ class TestIterate:
 
     def test_unknown_mode_is_refused(self):
         alg = by_name("z4-monoid")
-        kept = closure._kept[0]
+        kept = own(alg)
         with pytest.raises(ValueOutOfRange, match="^unknown mode 'Induction'; choose"):
             iterate(alg, 0, ElementSet.of(4, [1]), "Induction")
-        assert closure._kept[0] is kept
+        assert own(alg) is kept
 
     def test_boolean_deduction_chain(self):
         alg = by_name("bool-semiring")
