@@ -300,5 +300,6 @@ def enumerate_term_images(
 
 
 def stabilized_term_images(algebra: FiniteAlgebra, generators: ElementSet) -> ElementSet:
-    """Term images at the first depth where one more level adds nothing."""
+    """Term images at the first depth where one more level adds nothing. It stays
+    public: `perfbench/spans.py` wraps it by name, and `Tracer.install` fails without it."""
     return enumerate_term_images(algebra, generators)

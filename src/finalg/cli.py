@@ -20,6 +20,7 @@ from .closure import (
 )
 from .errors import EngineError
 from .fileformat import parse_algebra_file
+from .oracles import nat_mult_deduction_chain
 from .ranks import algebra_rank
 from .suites import SUITE_NAMES, _format_nat, run_suite
 
@@ -109,10 +110,7 @@ def _cmd_rank(args: argparse.Namespace, algebra: FiniteAlgebra, top: int, _: Non
         raise EngineError("--max-n must be non-negative")
     mode = "induction" if args.mode == "ind" else "deduction"
     result = algebra_rank(algebra, top, mode, max_n=args.max_n)
-    if result.rank is None:
-        print(f"rank exceeded {result.max_n}")
-    else:
-        print(f"rank {result.rank}")
+    print(f"rank {result.describe()}")
     print(f"witness {result.witness}")
     print(_format_chain(result.witness_report.distinct_stages()))
     return 0
@@ -134,8 +132,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    from .oracles import nat_mult_deduction_chain
-
     primes = _parse_primes(args.primes)
     stages = nat_mult_deduction_chain(primes, len(primes), args.depth)
     for stage in stages:

@@ -4,10 +4,9 @@ distinguished element.
 Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
-normality compares I against the congruence class of top. Each of them reads
-R_I from the algebra object's own `Closures`, which keeps every
-semicongruence of that algebra, keyed by its generating pairs, and grows
-each from a kept one.
+normality compares I against the congruence class of top. Each reads R_I
+one way, from the algebra object's own `Closures`, which keeps every
+semicongruence of that algebra by its generating pairs.
 """
 from __future__ import annotations
 
@@ -40,9 +39,12 @@ def semicongruence_generated(
 ) -> BinRel:
     """Smallest reflexive compatible relation containing the given pairs:
     the subalgebra of A x A generated by the pairs and the diagonal."""
-    closures = _closures(algebra)
-    seed = BinRel.from_pairs(algebra.size, pairs).support().mask
-    return BinRel(algebra.size, closures._rows_of(seed))
+    closures, n, seed = _closures(algebra), algebra.size, 0
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueOutOfRange(f"pair ({a},{b}) outside carrier of size {n}")
+        seed |= 1 << (a * n + b)
+    return BinRel(n, closures._rows_of(seed))
 
 
 def _lane(n: int) -> str:
@@ -142,9 +144,12 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
 def congruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
-    """Smallest congruence containing the pairs: the transitive closure, by squaring,
-    of R u R~ (R their semicongruence, reflexive and compatible, so the closure is too)."""
-    rel = semicongruence_generated(algebra, pairs)
+    """Smallest congruence containing the pairs: `_congruence` of their semicongruence."""
+    return _congruence(semicongruence_generated(algebra, pairs))
+
+
+def _congruence(rel: BinRel) -> BinRel:
+    """Congruence of a semicongruence R: R u R~, reflexive and compatible, squared to transitive."""
     acc = rel.union(opposite(rel))
     while (step := compose(acc, acc)) != acc:
         acc = step
@@ -183,8 +188,8 @@ class Closures:
     """The semicongruences of one algebra, kept by their seed, and the
     induction and deduction step of every set and top asked for. The seed
     is the support of the generating pairs, pair (a, b) at bit a * n + b;
-    R_I is the entry for the seed I x {top}. One rule (`_rows_of`) reads a
-    missing entry off a kept one or grows it.
+    every per-set operator reads R_I, the entry for I x {top}, by `_induced`.
+    One rule (`_rows_of`) reads a missing entry off a kept one or grows it.
 
     Each algebra object owns one, made by the first call of this module's
     functions on it (`_closures`) and kept for exactly the object's
@@ -247,19 +252,22 @@ class Closures:
         kept[seed] = got
         return got
 
+    def _induced(self, top: int, mask: int, base: int = 0) -> tuple[int, ...]:
+        """Rows of R_I, I the set with this mask, the kept R of `base`'s set
+        a candidate to grow it from. Masks become seeds only here, x at bit
+        x * n + top; the caller has checked top and mask (`_closures_for`)."""
+        n = self.size
+        seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
+        return self._rows_of(seed, base)
+
     def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
-        mask: the left or right image of I under R_I, with `base`'s seed a
-        candidate to grow R_I from. Masks become seeds only here, on a miss.
-        The caller has checked top and mask (`_closures_for`)."""
+        mask: the left or right image of I under R_I, memoised per mode and top."""
         memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
-            n = self.size
-            seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
-            rows = self._rows_of(seed, base)
             image = _left_mask if mode == "induction" else _right_mask
-            got = memo[mask] = image(rows, mask)
+            got = memo[mask] = image(self._induced(top, mask, base), mask)
         return got
 
 
@@ -304,9 +312,8 @@ def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> Eleme
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """Smallest set containing `subset` that is the left class of top under
     its own generated relation; the empty set yields {top}."""
-    _closures_for(algebra, top, subset, "set")
-    rel = semicongruence_generated(algebra, [(x, top) for x in subset])
-    return ElementSet(algebra.size, _left_mask(rel.rows, 1 << top))
+    rows = _closures_for(algebra, top, subset, "set")._induced(top, subset.mask)
+    return ElementSet(algebra.size, _left_mask(rows, 1 << top))
 
 
 def iterate(
@@ -354,9 +361,9 @@ def is_top_normal(
     """Whether `subset` is exactly the congruence class of top under the
     congruence generated by subset x {top}. The empty set is never normal:
     the class of top contains top."""
-    _closures_for(algebra, top, subset, "set")
-    cong = congruence_generated(algebra, [(x, top) for x in subset])
-    cls = ElementSet(algebra.size, _left_mask(cong.rows, 1 << top))
+    n = algebra.size
+    rows = _closures_for(algebra, top, subset, "set")._induced(top, subset.mask)
+    cls = ElementSet(n, _left_mask(_congruence(BinRel(n, rows)).rows, 1 << top))
     return NormalityResult(subset == cls, cls)
 
 

@@ -116,6 +116,39 @@ class TestSemicongruence:
         with pytest.raises(ValueOutOfRange):
             semicongruence_generated(by_name("z4-monoid"), [(4, 0)])
 
+    def test_refusals_match_from_pairs(self):
+        # a pair outside the carrier, after a good one, in a list or a
+        # one-shot generator: the same error as BinRel.from_pairs, and no
+        # relation kept for the refused pairs
+        alg = dataclasses.replace(by_name("z4-monoid"))
+        n = alg.size
+        semicongruence_generated(alg, [])
+        kept = dict(own(alg)._rows)
+        for bad in ((n, 0), (0, n), (-1, 0), (0, -1)):
+            for wrap in (list, iter):
+                errors = []
+                for call in (lambda p: BinRel.from_pairs(n, p),
+                             lambda p: semicongruence_generated(alg, p)):
+                    with pytest.raises(ValueOutOfRange) as info:
+                        call(wrap([(1, 0), bad]))
+                    errors.append((info.type, str(info.value)))
+                assert errors[0] == errors[1], (bad, wrap)
+                assert own(alg)._rows == kept, (bad, wrap)
+
+    def test_one_relation_built_per_call(self, monkeypatch):
+        # the pairs go straight into the seed: the result is the one BinRel
+        # a call builds, and it builds no ElementSet, kept relation or new
+        made = []
+        for cls in (BinRel, ElementSet):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: made.append(type(self)) or check(self))
+        alg = dataclasses.replace(by_name("z4-monoid"))
+        for pairs in ([], [(2, 0)], [(2, 0)], [(1, 0), (3, 0)], iter([(3, 1)])):
+            made.clear()
+            semicongruence_generated(alg, pairs)
+            assert made == [BinRel], pairs
+
 
 class TestClosuresCache:
     def test_every_mask_equals_the_kernel(self):
@@ -375,6 +408,27 @@ class TestClosuresCache:
                     closures._step("induction", top, mask, base)
                 assert calls == [tuple(sum(1 << (x * n + top) for x in range(n) if m >> x & 1)
                                        for m in pair) for pair in zip(masks, bases)], (n, top)
+
+    def test_clot_and_normality_read_the_step_relation(self, monkeypatch):
+        # once top_induction has kept R_S, the clot and normality of S read
+        # it: no generated-relation call, no pair list, no kernel run
+        calls = []
+
+        def spy(name, inner):
+            return lambda *args: calls.append(name) or inner(*args)
+
+        for name in ("semicongruence_generated", "congruence_generated", "_close"):
+            monkeypatch.setattr(closure, name, spy(name, getattr(closure, name)))
+        monkeypatch.setattr(BinRel, "from_pairs", spy("from_pairs", BinRel.from_pairs))
+        for entry in sample_entries():
+            alg, top = dataclasses.replace(entry.algebra), entry.algebra.top
+            for mask in range(1 << alg.size):
+                subset = ElementSet(alg.size, mask)
+                top_induction(alg, top, subset)
+                calls.clear()
+                clot_closure(alg, top, subset)
+                is_top_normal(alg, top, subset)
+                assert calls == [], (entry.name, mask)
 
     def test_refusals(self):
         alg = by_name("z4-monoid")
