@@ -7,7 +7,8 @@ are constants with a one-entry table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product as iterprod
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -229,18 +230,16 @@ def product_square(algebra: FiniteAlgebra) -> FiniteAlgebra:
         )
     n = algebra.size
     n2 = n * n
+    high = [p // n for p in range(n2)]
+    low = [p % n for p in range(n2)]
     tables = []
     for _, arity, table in algebra.ops():
-        out = []
         # a constant's one, empty, argument tuple gives the pair (c, c)
-        for pairs in iterprod(range(n2), repeat=arity):
-            left = 0
-            right = 0
-            for p in pairs:
-                left = left * n + p // n
-                right = right * n + p % n
-            out.append(table[left] * n + table[right])
-        tables.append(tuple(out))
+        left = right = [0]
+        for _ in range(arity):
+            left = [i * n + a for i in left for a in high]
+            right = [i * n + b for i in right for b in low]
+        tables.append(tuple(table[a] * n + table[b] for a, b in zip(left, right)))
     top = None if algebra.top is None else algebra.top * n + algebra.top
     return FiniteAlgebra(algebra.sig, n2, tuple(tables), top)
 
@@ -275,7 +274,9 @@ def enumerate_term_images(
     """Values of all terms of depth <= max_depth, variables ranging over
     `generators`; with max_depth None, until one more level adds nothing.
     Depth 0 covers variables and constants; one operation application adds
-    one to the deepest argument."""
+    one to the deepest argument. Naive by design, as the reference the
+    closure engine is checked against: each depth evaluates every argument
+    tuple of the whole pool."""
     if generators.size != algebra.size:
         raise SizeMismatch("generator set over a different carrier")
     if max_depth is not None and max_depth < 0:
@@ -287,12 +288,17 @@ def enumerate_term_images(
     for _ in count() if max_depth is None else range(max_depth):
         nxt = set(base)
         pool = list(images)
+        if not pool:  # no variable and no constant: no term at all
+            break
+        # the last coordinate of every tuple, read off one table row; the
+        # repeated first index keeps a tuple when the pool has one element
+        pick = itemgetter(*pool, pool[0])
         for arity, table in nonconst:
-            for args in iterprod(pool, repeat=arity):
-                idx = 0
-                for a in args:
-                    idx = idx * n + a
-                nxt.add(table[idx])
+            prefixes = [0]
+            for _ in range(arity - 1):
+                prefixes = [o * n + a for o in prefixes for a in pool]
+            for o in prefixes:
+                nxt.update(pick(table[o * n : o * n + n]))
         if nxt == images:
             break
         images = nxt

@@ -1,6 +1,9 @@
 """Core algebra layer: signatures, element sets, term enumeration, products, closures."""
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +35,35 @@ def z_monoid(n: int):
         {"add": [(a + b) % n for a in range(n) for b in range(n)], "zero": [0]},
         top=0,
     )
+
+
+def random_algebra(rng: random.Random, n: int, arities):
+    """Ops f0, f1, ... of the given arities with uniformly random tables."""
+    ops = [(f"f{i}", arity) for i, arity in enumerate(arities)]
+    return make_algebra(ops, n, {name: [rng.randrange(n) for _ in range(n**a)] for name, a in ops})
+
+
+def per_tuple_term_images(alg, generators, max_depth):
+    """Term images one argument tuple at a time: each tuple of the pool, every
+    op of positive arity, the table index multiplied out coordinate by coordinate."""
+    base = set(generators) | set(alg.constants())
+    images = set(base)
+    depth = 0
+    while max_depth is None or depth < max_depth:
+        nxt = set(base)
+        for _, arity, table in alg.ops():
+            if arity == 0:
+                continue
+            for args in product(sorted(images), repeat=arity):
+                idx = 0
+                for a in args:
+                    idx = idx * alg.size + a
+                nxt.add(table[idx])
+        if nxt == images:
+            break
+        images = nxt
+        depth += 1
+    return images
 
 
 class TestSignature:
@@ -170,6 +202,21 @@ class TestProductSquare:
         alg = make_algebra([("f", 1)], 3, {"f": [0, 1, 2]}, top=2)
         assert product_square(alg).top == 2 * 3 + 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("arities", [(0,), (1,), (2,), (3,), (3, 0, 2, 1)], ids=str)
+    def test_pairs_act_componentwise(self, n, arities):
+        alg = random_algebra(random.Random(n * 100 + len(arities)), n, arities)
+        sq = product_square(alg)
+        assert sq.size == n * n
+        for name, arity, table in alg.ops():
+            for pairs in product(product(range(n), repeat=2), repeat=arity):
+                left = right = 0
+                for a, b in pairs:
+                    left = left * n + a
+                    right = right * n + b
+                encoded = [a * n + b for a, b in pairs]
+                assert sq.apply(name, *encoded) == table[left] * n + table[right]
+
     def test_size_overflow(self):
         alg = make_algebra([("point", 0)], 65, {"point": [0]})
         with pytest.raises(SizeOverflow) as err:
@@ -242,6 +289,40 @@ class TestTermEnumeration:
         images = [enumerate_term_images(alg, gen, d) for d in range(5)]
         for shallow, deep in zip(images, images[1:]):
             assert shallow.issubset(deep)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_per_tuple_evaluation(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        # even seeds have no constant, so the empty generator set is an empty pool
+        arities = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        if seed % 2:
+            arities.append(0)
+        alg = random_algebra(rng, n, arities)
+        for mask in range(1 << n):
+            gens = ElementSet(n, mask)
+            for depth in (0, 1, 2, 3, 4, None):
+                expected = per_tuple_term_images(alg, gens, depth)
+                assert set(enumerate_term_images(alg, gens, depth)) == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, None])
+    def test_empty_pool(self, depth):
+        # no generator and no constant: no term, at any depth
+        alg = make_algebra([("s", 1), ("m", 2)], 3, {"s": [1, 2, 0], "m": [0] * 9})
+        assert enumerate_term_images(alg, ElementSet.empty(3), depth) == ElementSet.empty(3)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, None])
+    def test_one_element_pool(self, depth):
+        # the pool is {0} at depth 1, by one generator or by one constant
+        succ = [1, 2, 3, 0]
+        climb = {1: {0, 1}, 2: {0, 1, 2}, 3: {0, 1, 2, 3}}
+        expected = climb.get(depth, {0, 1, 2, 3})
+        unary = make_algebra([("s", 1)], 4, {"s": succ})
+        assert set(enumerate_term_images(unary, ElementSet.of(4, [0]), depth)) == expected
+        pointed = make_algebra([("s", 1), ("z", 0)], 4, {"s": succ, "z": [0]})
+        assert set(enumerate_term_images(pointed, ElementSet.empty(4), depth)) == expected
+        one = make_algebra([("m", 3), ("s", 1)], 1, {"m": [0], "s": [0]})
+        assert set(enumerate_term_images(one, ElementSet.full(1), depth)) == {0}
 
     def test_stabilized_matches_generated_subalgebra_on_catalog(self):
         # the spec-level bridge between term images and worklist closure

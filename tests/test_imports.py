@@ -37,3 +37,42 @@ def test_imports_are_relative_or_standard_library(path):
 def test_a_third_party_import_is_caught():
     source = "import os.path\nfrom . import algebra\nfrom numpy.linalg import inv\nimport hypothesis\n"
     assert _outside_imports(source) == ["numpy.linalg", "hypothesis"]
+
+
+def _package_imports(source: str) -> set[str]:
+    """Modules of the package imported, relatively or as `finalg.<module>`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("finalg.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "finalg":
+                    continue
+                module = module.removeprefix("finalg").lstrip(".")
+            # `from . import closure` names the module in the alias
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def _read(name: str) -> str:
+    return (Path(finalg.__file__).parent / name).read_text(encoding="utf-8")
+
+
+def test_term_enumeration_imports_only_errors():
+    # the term-enumeration reference stays independent of the engine
+    assert _package_imports(_read("algebra.py")) == {"errors"}
+
+
+def test_oracles_never_import_the_closure_engine():
+    assert "closure" not in _package_imports(_read("oracles.py"))
+
+
+def test_a_package_import_is_caught():
+    source = (
+        "import os.path\nfrom . import closure, ranks\nfrom .errors import E\n"
+        "import finalg.suites\nfrom finalg.cli import main\n"
+        "from finalg import catalog\nfrom itertools import product\n"
+    )
+    assert _package_imports(source) == {"closure", "ranks", "errors", "suites", "cli", "catalog"}
