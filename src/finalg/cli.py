@@ -124,7 +124,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    primes = _parse_primes(args.primes) if args.primes else None
+    primes = None if args.primes is None else _parse_primes(args.primes)
     report = run_suite(args.suite, limit=args.limit, primes=primes, depth=args.depth)
     for line in report.lines():
         print(line)

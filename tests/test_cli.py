@@ -185,6 +185,20 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS nat-chain 5 0")
 
+    def test_nat_chain_past_its_truncation(self, capsys):
+        # depth 4 on two primes: stages 2 to 4 repeat stage 1
+        code, out, _ = run(
+            capsys, "verify", "--suite", "nat-chain", "--primes", "2,3", "--depth", "4"
+        )
+        assert (code, out) == (0, "PASS nat-chain 6 0\n")
+
+    def test_empty_prime_list_is_refused(self, capsys):
+        # as `chain` refuses it, not replaced by the default primes
+        code, out, err = run(capsys, "verify", "--suite", "nat-chain", "--primes", "")
+        assert (code, out, err) == (
+            2, "", "error: malformed prime list '': use comma-separated integers\n"
+        )
+
 
 class TestChain:
     def test_golden_stages(self, capsys):

@@ -76,3 +76,17 @@ def test_a_package_import_is_caught():
         "from finalg import catalog\nfrom itertools import product\n"
     )
     assert _package_imports(source) == {"closure", "ranks", "errors", "suites", "cli", "catalog"}
+
+
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    """The calls under `node` of a function named `name`, bare or as an attribute."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_suites_walk_the_catalog_once():
+    # each suite's function checks one entry; only `run_suite` builds the catalog
+    tree = ast.parse(_read("suites.py"))
+    run_suite = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_suite")
+    assert len(_calls(tree, "build_catalog")) == len(_calls(run_suite, "build_catalog")) == 1

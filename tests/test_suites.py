@@ -25,7 +25,7 @@ from finalg import (
     run_suite,
     subsets_in_order,
 )
-from finalg.errors import UnknownSuite
+from finalg.errors import InvalidPrimeList, UnknownSuite
 
 PASSING_SUITES = (
     "theorem-a",
@@ -88,6 +88,14 @@ class TestSuiteRuns:
         report = run_suite("nat-chain", primes=(2, 3, 5), depth=2)
         assert report.passed
         assert report.cases == 5  # seed check + two stages with two checks each
+
+    def test_nat_chain_past_its_truncation(self):
+        # seed check, stage 1 with two checks, stages 2 to 4 stable after truncation
+        assert run_suite("nat-chain", primes=(2, 3), depth=4).summary() == "PASS nat-chain 6 0"
+
+    def test_nat_chain_empty_primes_are_refused(self):
+        with pytest.raises(InvalidPrimeList):
+            run_suite("nat-chain", primes=())
 
 
 class TestKernelRuns:
