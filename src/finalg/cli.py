@@ -28,11 +28,14 @@ CHAIN_PRINT_CAP = 32
 
 
 def _load(path: str) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise EngineError(f"{path} is not UTF-8 text: {exc}") from None
+    """The file's algebra. Its bytes are decoded once, without text mode:
+    the parser splits lines at CRLF, CR and LF, as text mode would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_algebra_file(text).algebra
 
 
@@ -140,9 +143,10 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    call in the process; each subcommand sets its `handler`."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name (the
+    `choices` of its subparsers action), built on first use and shared by
+    every later call in the process; each subcommand sets its `handler`."""
     parser = argparse.ArgumentParser(
         prog="finalg",
         description="Closure computations and verification suites on finite algebras.",
@@ -190,11 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True, help="comma-separated distinct primes")
     p.add_argument("--depth", type=int, required=True, help="number of steps")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, shared by every call in the process."""
+    return _parsers()[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = _parsers()
+    # The parser hands every word after a subcommand's name to that
+    # subcommand's parser, so parsing them there directly gives the same
+    # namespace, less `command`, or the same usage error. A word left over
+    # is an error of the whole parser: it parses again and reports it.
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+    if sub is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (EngineError, OSError) as exc:

@@ -221,10 +221,13 @@ class Closures:
         kernel's first run."""
         n = self.size
         fmt = _lane(n)
+        width = array(fmt).itemsize
+        # the n lanes, lane v the mask 1 << v: a table packs by lookup
+        lanes = [(1 << v).to_bytes(width, byteorder) for v in range(n)]
         stacked: dict[int, list[int]] = {}
         for k, table in self._ops:
             stacked.setdefault(k, []).extend(table)
-        return tuple((k, tuple(table), _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt))
+        return tuple((k, tuple(table), _cut(b"".join(map(lanes.__getitem__, table)), n, fmt))
                      for k, table in stacked.items())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:

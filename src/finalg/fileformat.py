@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, Signature, make_algebra
+from .algebra import FiniteAlgebra, Signature
 from .errors import ParseError, ValueOutOfRange
 
 _KEYWORDS = {"algebra", "size", "op", "const", "top", "end"}
@@ -112,17 +112,17 @@ class _Parser:
             raise self._last(f"{label} {value} outside carrier of size {size}", ValueOutOfRange)
         return value
 
-    def table(self, size: int, count: int) -> list[int]:
+    def table(self, size: int, count: int) -> tuple[int, ...]:
         """The next `count` tokens as table entries, read and checked as one slice;
         on any fault `element` re-reads them and raises the first error."""
         try:
-            values = list(map(int, self.words[self.pos : self.pos + count]))
+            values = tuple(map(int, self.words[self.pos : self.pos + count]))
         except ValueError:
-            values = []
+            values = ()
         if len(values) == count and 0 <= min(values) and max(values) < size:
             self.pos += count
             return values
-        return [self.element("table entry", "table entry", size) for _ in range(count)]
+        return tuple([self.element("table entry", "table entry", size) for _ in range(count)])
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
@@ -135,7 +135,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     if size < 1:
         raise p._last("carrier size must be at least 1")
     symbols: list[tuple[str, int]] = []
-    tables: dict[str, list[int]] = {}
+    tables: list[tuple[int, ...]] = []
     top: int | None = None
     while True:
         word = p.peek()
@@ -155,12 +155,12 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             # fails at or before its last token, and the power is not computed
             left = len(p.words) - p.pos
             big = size > 1 and arity > left.bit_length()
-            tables[op_name] = p.table(size, left + 1 if big else size**arity)
+            tables.append(p.table(size, left + 1 if big else size**arity))
         elif word == "const":
             p.take()
             const_name = p.name("constant name")
             symbols.append((const_name, 0))
-            tables[const_name] = [p.element("constant value", "constant", size)]
+            tables.append((p.element("constant value", "constant", size),))
         elif word == "top":
             at = p.pos
             p.take()
@@ -172,7 +172,9 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             raise p._error(f"expected 'op', 'const', 'top' or 'end', found {word!r}")
     if p.peek() is not None:
         raise p._error(f"trailing content after 'end': {p.peek()!r}")
-    algebra = make_algebra(Signature.of(*symbols), size, tables, top)
+    # every table has size**arity entries, each in range, and the top is in
+    # range: all `make_algebra` would check but the repeated name
+    algebra = FiniteAlgebra(Signature(tuple(symbols)), size, tuple(tables), top)
     return AlgebraFile(name, algebra)
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import finalg
-from finalg import build_catalog, render_algebra
-from finalg.catalog import cyclic_monoid
+from finalg import build_catalog, parse_algebra_file, render_algebra
+from finalg import cli
+from finalg.catalog import cyclic_monoid, cyclic_ring
 from finalg.cli import build_parser, main
+from finalg.errors import EngineError
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +259,20 @@ class TestInputErrors:
         assert err.startswith(f"error: {path} is not UTF-8 text: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("body", ["op f 1\n1 0\nop f 1\n0 1\n", "op f 1\n1 0\nconst f 0\n"],
+                             ids=["op-repeated", "const-repeats-op"])
+    def test_duplicate_symbol(self, tmp_path, capsys, body):
+        path = tmp_path / "dup.ua"
+        path.write_text(f"algebra dup\nsize 2\n{body}top 0\nend\n")
+        assert run(capsys, "clot", str(path), "--set", "1") == \
+            (2, "", "error: duplicate operation symbol 'f'\n")
+
+    def test_duplicate_symbol_is_refused_after_the_whole_file(self, tmp_path, capsys):
+        path = tmp_path / "dup.ua"
+        path.write_text("algebra dup\nsize 2\nop f 1\n1 0\nconst f 0\ntop 5\nend\n")
+        assert run(capsys, "clot", str(path), "--set", "1") == \
+            (2, "", "error: 6:5: top element 5 outside carrier of size 2\n")
+
     def test_huge_arity_fails_at_the_table_end(self, tmp_path):
         # 10**20000000 entries are never counted: the table fails at 'end'
         path = tmp_path / "huge.ua"
@@ -267,6 +283,69 @@ class TestInputErrors:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (2, "", "error: 5:1: expected table entry, found 'end'\n")
+
+
+def _load_text_mode(path: str):
+    # the file read in text mode, universal newlines: the reference for `_load`
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EngineError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_algebra_file(text).algebra
+
+
+def _line_ends(text: str, *ends: bytes) -> bytes:
+    """`text` encoded, its line ends taken in turn from `ends`."""
+    *lines, last = text.encode().split(b"\n")
+    return b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)) + last
+
+
+Z4_RING = render_algebra("z4-ring", cyclic_ring(4).algebra)
+# the second row of `add` with 3 read as 7: refused at 5:5
+Z4_FAULT = Z4_RING.replace("\n1 2 3 0\n", "\n1 2 7 0\n", 1)
+Z4_CRLF = _line_ends(Z4_RING, b"\r\n")
+BOM = "\ufeff".encode()
+FAULT = "error: 5:5: table entry 7 outside carrier of size 4\n"
+NOT_UTF8 = "error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte "
+READING_CASES = {
+    "crlf": (Z4_CRLF, 0, ""),
+    "cr": (_line_ends(Z4_RING, b"\r"), 0, ""),
+    "mixed": (_line_ends(Z4_RING, b"\r\n", b"\r", b"\n"), 0, ""),
+    "fault-crlf": (_line_ends(Z4_FAULT, b"\r\n"), 2, FAULT),
+    "fault-cr": (_line_ends(Z4_FAULT, b"\r"), 2, FAULT),
+    "fault-mixed": (_line_ends(Z4_FAULT, b"\r\n", b"\r", b"\n"), 2, FAULT),
+    "bom": (BOM + Z4_RING.encode(), 2,
+            "error: 1:1: expected 'algebra', found '\\ufeffalgebra'\n"),
+    "bad-first-byte": (b"\xff" + Z4_RING.encode(), 2,
+                       NOT_UTF8 + "0xff in position 0: invalid start byte\n"),
+    "bad-middle-byte": (Z4_RING[:40].encode() + b"\xc3(" + Z4_RING[40:].encode(), 2,
+                        NOT_UTF8 + "0xc3 in position 40: invalid continuation byte\n"),
+    "bad-last-byte": (Z4_CRLF + b"\xe2", 2,
+                      NOT_UTF8 + f"0xe2 in position {len(Z4_CRLF)}: unexpected end of data\n"),
+}
+
+
+class TestReading:
+    """`_load` decodes the file's bytes once. Line ends, a byte order mark and
+    bytes that are not UTF-8 give what a text-mode read gives."""
+
+    @pytest.mark.parametrize("name", READING_CASES)
+    def test_same_as_a_text_mode_read(self, tmp_path, capsys, monkeypatch, name):
+        data, code, err = READING_CASES[name]
+        path = tmp_path / f"{name}.ua"
+        path.write_bytes(data)
+        argv = ("semicong", str(path), "--set", "1")
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_load", _load_text_mode)
+        assert got == run(capsys, *argv)
+        assert got[0] == code
+        if code:
+            assert got[1:] == ("", err.format(path=path))
+        else:
+            plain = tmp_path / "plain.ua"
+            plain.write_text(Z4_RING)
+            assert got == run(capsys, "semicong", str(plain), "--set", "1")
 
 
 class TestRefusalOrder:
@@ -345,6 +424,40 @@ class TestOneProcess:
             assert (code, captured.out, captured.err) == \
                 (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0]
+
+    def test_usage_errors_and_help_match_fresh_processes(self, files, capsys, monkeypatch):
+        # a request naming a subcommand is parsed by that subcommand's parser
+        # alone; a word left over, no subcommand or an unknown one go through
+        # the whole parser. Either way a fresh process prints the same, and
+        # so does this process with every request sent through the whole parser
+        monkeypatch.setenv("COLUMNS", "80")  # -h wraps at the terminal width
+        calls = [
+            ["clot", files["z4-ring"], "--set", "1", "extra"],
+            ["bogus"],
+            [],
+            ["ind", "-h"],
+            ["verify", "--suite", "theorem-a", "--bogus", "1"],
+            ["clot", files["z4-ring"]],
+            ["clot", files["z4-ring"], "--set", "1"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        got = [outcome(argv) for argv in calls]
+        for argv, result in zip(calls, got):
+            fresh = subprocess.run([sys.executable, "-m", "finalg", *argv], capture_output=True,
+                                   text=True, env=_fresh_env(), timeout=120)
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        parser = build_parser()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert [outcome(argv) for argv in calls] == got
+        assert [code for code, _, _ in got] == [2, 2, 2, 0, 2, 2, 0]
 
 
 class TestModuleEntry:

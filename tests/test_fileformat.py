@@ -230,6 +230,14 @@ class TestRendering:
             assert parsed.name == entry.name
             assert parsed.algebra == entry.algebra
 
+    def test_round_trip_builds_the_catalog_algebra(self):
+        # the parser builds the algebra from the tables it has checked; it
+        # must equal the catalog's, built by `make_algebra`, field by field
+        for entry in build_catalog(8):
+            parsed = parse_algebra_file(render_algebra(entry.name, entry.algebra)).algebra
+            assert parsed == entry.algebra, entry.name
+            assert all(type(table) is tuple for table in parsed.tables), entry.name
+
     @given(small_algebras())
     def test_round_trip_random(self, alg):
         assert parse_algebra(render_algebra("t", alg)) == alg

@@ -10,6 +10,7 @@ at the carrier sizes where the width of its packed lanes changes."""
 from __future__ import annotations
 
 import random
+from array import array
 from functools import reduce
 from itertools import product as iterprod
 from sys import byteorder
@@ -31,7 +32,7 @@ from finalg import (
 from finalg import closure
 from finalg.catalog import cyclic_module, cyclic_ring, cyclic_semiring
 from finalg.algebra import _bits
-from finalg.closure import Closures, _close, _fold, _lane
+from finalg.closure import Closures, _close, _cut, _fold, _lane
 from finalg.errors import SizeOverflow
 
 
@@ -364,6 +365,16 @@ def test_fold_is_exact_at_lane_boundaries(alg):
             for x in values:
                 want[x] |= every
         assert gained == want
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in LANES], ids=[name for name, _ in LANES])
+def test_columns_equal_the_array_packing(alg):
+    # the columns are packed by looking up each entry's lane; they must be
+    # the columns of the array of masks 1 << v in the lane's typecode
+    n = alg.size
+    fmt = _lane(n)
+    for _, table, columns in Closures(alg)._tables:
+        assert columns == _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt)
 
 
 def test_one_table_entry_per_arity():
