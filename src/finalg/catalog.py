@@ -1,7 +1,8 @@
 """Deterministic catalog of small named algebras used by the verification
-suites. Every entry fixes a top element and tags the symbols the per-variety
-oracles need. Each family has one constructor; the public builders name its
-members, each built once per process (`functools.cache`)."""
+suites. Every entry fixes a top element; each suite chooses its entries by
+kind or by the symbols the signature names. Each family has one constructor;
+the public builders name its members, each built once per process
+(`functools.cache`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,28 +18,21 @@ class CatalogEntry:
     name: str
     algebra: FiniteAlgebra
     kind: str
-    semiring_symbols: tuple[str, str, str, str] | None = None  # add, mul, zero, one
-    monoid_symbols: tuple[str, str] | None = None  # add, zero
-    maltsev_symbol: str | None = None
-    subtractive_symbol: str | None = None
-    jonsson_tarski_symbol: str | None = None
 
 
 def _table(n: int, arity: int, fn) -> tuple[int, ...]:
     return tuple(starmap(fn, product(range(n), repeat=arity)))
 
 
-def _entry(name: str, kind: str, n: int, symbols, tables: dict, top: int, **tags) -> CatalogEntry:
-    """One entry: `symbols` lists (name, arity) in signature order, `tags`
-    are the `CatalogEntry` symbol fields."""
-    return CatalogEntry(name, make_algebra(symbols, n, tables, top=top), kind, **tags)
+def _entry(name: str, kind: str, n: int, symbols, tables: dict, top: int) -> CatalogEntry:
+    """One entry: `symbols` lists (name, arity) in signature order."""
+    return CatalogEntry(name, make_algebra(symbols, n, tables, top=top), kind)
 
 
 def _monoid(name: str, n: int, add) -> CatalogEntry:
     """Commutative monoid on 0..n-1 with identity 0."""
     return _entry(
-        name, "monoid", n, (("add", 2), ("zero", 0)), {"add": _table(n, 2, add), "zero": [0]}, 0,
-        monoid_symbols=("add", "zero"), jonsson_tarski_symbol="add",
+        name, "monoid", n, (("add", 2), ("zero", 0)), {"add": _table(n, 2, add), "zero": [0]}, 0
     )
 
 
@@ -68,10 +62,7 @@ def _group_tables(n: int) -> dict:
 def _abelian(kind: str, n: int, symbols, extra: dict) -> CatalogEntry:
     """Z_n as an abelian group with the Mal'cev term a - b + c, plus the ops
     in `extra`; `symbols` lists every op in signature order."""
-    return _entry(
-        f"z{n}-{kind}", kind, n, symbols, _group_tables(n) | extra, 0,
-        maltsev_symbol="mal", subtractive_symbol="sub", jonsson_tarski_symbol="add",
-    )
+    return _entry(f"z{n}-{kind}", kind, n, symbols, _group_tables(n) | extra, 0)
 
 
 @cache
@@ -100,7 +91,6 @@ def _semiring(name: str, n: int, add, mul, zero: int, one: int) -> CatalogEntry:
     return _entry(
         name, "semiring", n, (("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
         {"add": _table(n, 2, add), "mul": _table(n, 2, mul), "zero": [zero], "one": [one]}, zero,
-        semiring_symbols=("add", "mul", "zero", "one"), jonsson_tarski_symbol="add",
     )
 
 

@@ -329,7 +329,10 @@ def nat_mult_deduction_chain(
     of naturals under multiplication with top 1, seeded with the consecutive
     products {p0*p1, ..., p_{m-1}*p_m} where p0 = 1 and p1..pm are the given
     primes. Every stage element divides a seed element, so the computation
-    stays inside a finite divisor universe. Exact integer arithmetic."""
+    stays inside a finite divisor universe. Exact integer arithmetic.
+
+    The list ends early at the first stage equal to the one before it (stage
+    m): every later stage equals it."""
     if m < 2:
         raise InvalidPrimeList("truncation must be at least 2")
     if m > len(primes):
@@ -347,4 +350,6 @@ def nat_mult_deduction_chain(
     stages = [seed]
     for _ in range(d):
         stages.append(_nat_ded_step(stages[-1]))
+        if stages[-1] == stages[-2]:
+            break
     return stages

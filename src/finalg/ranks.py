@@ -61,7 +61,7 @@ def algebra_rank(
     for subset in subsets_in_order(algebra.size):
         report = iterate(algebra, top, subset, mode, max_steps=max_n + 1)
         steps = report.steps_to_fixpoint
-        if steps is None or steps > max_n:
+        if steps is None:
             return RankResult(mode, None, max_n, subset, report)
         if steps > best:
             best = steps

@@ -178,7 +178,7 @@ def _suite_term_oracle(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
 
 
 def _suite_semiring(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
-    view = SemiringView(alg, *entry.semiring_symbols)
+    view = SemiringView(alg)
     for subset in subsets_in_order(alg.size, nonempty=False):
         rel = semicongruence_generated(alg, [(x, top) for x in subset])
         ind = top_induction(alg, top, subset)
@@ -201,19 +201,18 @@ def _suite_semiring(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, to
 
 def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
                        top: int) -> None:
-    add, zero = entry.monoid_symbols
-    table = alg.table(add)
+    table = alg.table("add")
     n = alg.size
     for subset in subsets_in_order(n):
         ind = top_induction(alg, top, subset)
         col.equal(entry.name, subset, "induction-equals-generated-subsemigroup",
-                  subsemigroup_generated(alg, add, subset), ind)
+                  subsemigroup_generated(alg, "add", subset), ind)
         col.equal(entry.name, subset, "induction-idempotent",
                   ind, top_induction(alg, top, ind))
-    zero_value = alg.table(zero)[0]
+    zero = alg.table("zero")[0]
     for subset in subsets_in_order(n, nonempty=False):
         # the submonoids: sets that hold zero and are closed under add
-        if zero_value not in subset or subsemigroup_generated(alg, add, subset) != subset:
+        if zero not in subset or subsemigroup_generated(alg, "add", subset) != subset:
             continue
         ded = top_deduction(alg, top, subset)
         one_step = ElementSet.of(
@@ -223,7 +222,7 @@ def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
         col.equal(entry.name, subset, "submonoid-deduction-one-step-formula",
                   one_step, ded)
         col.equal(entry.name, subset, "deductively-closed-iff-subtractive",
-                  subtractive_closure_submonoid(alg, add, subset) == subset,
+                  subtractive_closure_submonoid(alg, "add", subset) == subset,
                   ded.issubset(subset))
 
 
@@ -244,7 +243,7 @@ def _check_ranks(col: _Collector, name: str, alg: FiniteAlgebra, bound: int) -> 
 
 
 def _suite_maltsev(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
-    verified = check_maltsev_term(alg, entry.maltsev_symbol)
+    verified = check_maltsev_term(alg, "mal")
     col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
     for subset in subsets_in_order(alg.size, nonempty=False):
         col.equal(entry.name, subset, "induction-equals-deduction",
@@ -265,7 +264,7 @@ def _suite_maltsev(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top
 
 def _suite_subtractive(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
                        top: int) -> None:
-    verified = check_subtractive_term(alg, entry.subtractive_symbol, top)
+    verified = check_subtractive_term(alg, "sub", top)
     col.check(verified, entry.name, "-", "subtractive-term-verifies", True, verified)
     _check_ranks(col, entry.name, alg, 2)
     for subset in subsets_in_order(alg.size):
@@ -278,10 +277,9 @@ def _suite_subtractive(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
 
 def _suite_jonsson_tarski(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
                           top: int) -> None:
-    if entry.subtractive_symbol is None or \
-            not check_subtractive_term(alg, entry.subtractive_symbol, top):
+    if not check_subtractive_term(alg, "sub", top):
         return
-    verified = check_jonsson_tarski_term(alg, entry.jonsson_tarski_symbol, top)
+    verified = check_jonsson_tarski_term(alg, "add", top)
     col.check(verified, entry.name, "-", "jonsson-tarski-term-verifies", True, verified)
     _check_ranks(col, entry.name, alg, 1)
 
@@ -308,40 +306,43 @@ def _format_nat(stage: frozenset[int]) -> str:
 
 
 def _suite_nat_chain(col: _Collector, primes: tuple[int, ...], depth: int) -> None:
-    # exact chain on (N, *, 1): stage k adds p_{k+1} while the truncation lasts
+    # exact chain on (N, *, 1): stage k adds p_{k+1} while the truncation
+    # lasts, and stage m repeats stage m - 1; the chain ends at its first
+    # repeated stage, which every later stage equals
     m = len(primes)
     stages = nat_mult_deduction_chain(primes, m, depth)
+    stages += stages[-1:] * (min(depth, m) + 1 - len(stages))
     ps = [1] + list(primes)
     seed = stages[0]
     name = "nat-mult"
     col.equal(name, _format_nat(seed), "stage-0-is-seed",
               _format_nat(frozenset(ps[k] * ps[k + 1] for k in range(m))), _format_nat(seed))
-    for k in range(1, depth + 1):
-        if k < m:
-            expected = frozenset(ps[: k + 2]) | seed
-            col.equal(name, f"stage-{k}", "stage-matches-closed-form",
-                      _format_nat(expected), _format_nat(stages[k]))
-            col.check(len(stages[k]) > len(stages[k - 1]), name, f"stage-{k}",
-                      "strict-growth", f">{len(stages[k - 1])} elements",
-                      f"{len(stages[k])} elements")
-        else:
-            col.equal(name, f"stage-{k}", "stage-stable-after-truncation",
-                      _format_nat(stages[m - 1]), _format_nat(stages[k]))
+    for k in range(1, min(depth, m - 1) + 1):
+        expected = frozenset(ps[: k + 2]) | seed
+        col.equal(name, f"stage-{k}", "stage-matches-closed-form",
+                  _format_nat(expected), _format_nat(stages[k]))
+        col.check(len(stages[k]) > len(stages[k - 1]), name, f"stage-{k}",
+                  "strict-growth", f">{len(stages[k - 1])} elements",
+                  f"{len(stages[k])} elements")
+    if depth >= m:
+        col.equal(name, f"stage-{m}", "stage-stable-after-truncation",
+                  _format_nat(stages[m - 1]), _format_nat(stages[m]))
 
 
 # each catalog suite: its checks on one entry, which entries it takes (None:
-# every entry) and its default catalog limit
+# every entry), by kind or by a symbol the signature names, and its default
+# catalog limit
 _SUITES = {
     "theorem-a": (_suite_theorem_a, None, 4),
     "theorem-b": (_suite_theorem_b, None, 4),
     "theorem-c": (_suite_theorem_c, None, 4),
     "clot-idempotent": (_suite_clot_idempotent, None, 4),
     "term-oracle": (_suite_term_oracle, lambda e: e.algebra.size <= 4, 4),
-    "semiring": (_suite_semiring, lambda e: e.semiring_symbols is not None, 4),
-    "comm-monoid": (_suite_comm_monoid, lambda e: e.monoid_symbols is not None, 5),
-    "maltsev": (_suite_maltsev, lambda e: e.maltsev_symbol is not None, 4),
-    "subtractive": (_suite_subtractive, lambda e: e.subtractive_symbol is not None, 4),
-    "jonsson-tarski": (_suite_jonsson_tarski, lambda e: e.jonsson_tarski_symbol is not None, 4),
+    "semiring": (_suite_semiring, lambda e: e.kind == "semiring", 4),
+    "comm-monoid": (_suite_comm_monoid, lambda e: e.kind == "monoid", 5),
+    "maltsev": (_suite_maltsev, lambda e: "mal" in e.algebra.sig, 4),
+    "subtractive": (_suite_subtractive, lambda e: "sub" in e.algebra.sig, 4),
+    "jonsson-tarski": (_suite_jonsson_tarski, lambda e: "sub" in e.algebra.sig, 4),
     "rank0": (_suite_rank0, lambda e: e.kind == "pointed" and e.algebra.size >= 2, 4),
 }
 

@@ -1,11 +1,13 @@
 """Shared test configuration.
 
 Registers a deterministic hypothesis profile, starts every test on a cold
-catalog, and keeps an acceptance-line recorder: the acceptance tests each
-record one PASS/FAIL line, and all recorded lines are printed in a dedicated
-block at the end of the pytest run.
+catalog, offers a ten-second time limit, and keeps an acceptance-line
+recorder: the acceptance tests each record one PASS/FAIL line, and all
+recorded lines are printed in a dedicated block at the end of the pytest run.
 """
 from __future__ import annotations
+
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -31,6 +33,21 @@ def cold_catalog():
     for builder in vars(catalog).values():
         if hasattr(builder, "cache_clear"):
             builder.cache_clear()
+
+
+@pytest.fixture
+def ten_seconds():
+    """Fail the test with TimeoutError if it is still running after ten
+    seconds of wall-clock time (a SIGALRM timer; tests run in the main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

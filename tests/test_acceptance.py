@@ -121,7 +121,7 @@ def test_criterion_03_power_sandwich(acceptance):
 
 def test_criterion_04_semiring_oracles(acceptance):
     report = run_suite("semiring")
-    names = {e.name for e in build_catalog(4) if e.semiring_symbols is not None}
+    names = {e.name for e in build_catalog(4) if e.kind == "semiring"}
     scope_ok = {
         "bool-semiring", "z2-semiring", "z3-semiring", "z4-semiring",
         "minplus0-semiring", "minplus1-semiring", "minplus2-semiring",
@@ -137,7 +137,7 @@ def test_criterion_04_semiring_oracles(acceptance):
 
 def test_criterion_05_commutative_monoids(acceptance):
     report = run_suite("comm-monoid")
-    names = {e.name for e in build_catalog(5) if e.monoid_symbols is not None}
+    names = {e.name for e in build_catalog(5) if e.kind == "monoid"}
     scope_ok = {
         "z2-monoid", "z3-monoid", "z4-monoid", "z5-monoid",
         "sat1-monoid", "sat2-monoid", "sat3-monoid", "sat4-monoid",
@@ -181,7 +181,7 @@ def test_criterion_06_unbounded_deduction_witness(acceptance):
 
 def test_criterion_07_maltsev_collapse(acceptance):
     report = run_suite("maltsev")
-    names = {e.name for e in build_catalog(4) if e.maltsev_symbol is not None}
+    names = {e.name for e in build_catalog(4) if "mal" in e.algebra.sig}
     scope_ok = {
         "z2-group", "z3-group", "z4-group", "z2-ring", "z3-ring", "z4-ring",
     } <= names

@@ -1,6 +1,8 @@
 """Catalog construction: composition, determinism, and per-entry guarantees."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from finalg import (
@@ -12,6 +14,7 @@ from finalg import (
 )
 from finalg import catalog
 from finalg.catalog import (
+    CatalogEntry,
     boolean_semiring,
     cyclic_group,
     cyclic_module,
@@ -89,41 +92,37 @@ class TestEntryGuarantees:
     def test_semiring_entries_validate(self):
         found = 0
         for entry in build_catalog(4):
-            if entry.semiring_symbols is not None:
-                SemiringView(entry.algebra, *entry.semiring_symbols)
+            if entry.kind == "semiring":
+                SemiringView(entry.algebra)
                 found += 1
         assert found >= 8
 
     def test_maltsev_entries_verify(self):
         found = 0
         for entry in build_catalog(4):
-            if entry.maltsev_symbol is not None:
-                assert check_maltsev_term(entry.algebra, entry.maltsev_symbol)
+            if "mal" in entry.algebra.sig:
+                assert check_maltsev_term(entry.algebra, "mal")
                 found += 1
         assert found >= 9  # groups, rings, modules
 
     def test_subtractive_entries_verify(self):
         for entry in build_catalog(4):
-            if entry.subtractive_symbol is not None:
-                assert check_subtractive_term(
-                    entry.algebra, entry.subtractive_symbol, entry.algebra.top
-                )
+            if "sub" in entry.algebra.sig:
+                assert check_subtractive_term(entry.algebra, "sub", entry.algebra.top)
 
     def test_jonsson_tarski_entries_verify(self):
         found = 0
         for entry in build_catalog(4):
-            if entry.jonsson_tarski_symbol is not None:
+            if "add" in entry.algebra.sig:
                 zero = entry.algebra.table("zero")[0]
-                assert check_jonsson_tarski_term(
-                    entry.algebra, entry.jonsson_tarski_symbol, zero
-                )
+                assert check_jonsson_tarski_term(entry.algebra, "add", zero)
                 found += 1
         assert found > 0
 
-    def test_monoid_symbols_only_on_plain_monoids(self):
-        for entry in build_catalog(4):
-            if entry.monoid_symbols is not None:
-                assert entry.kind == "monoid"
+    def test_entries_are_name_algebra_and_kind(self):
+        assert [f.name for f in fields(CatalogEntry)] == ["name", "algebra", "kind"]
+        assert {entry.kind for entry in build_catalog(4)} == \
+            {"monoid", "group", "ring", "semiring", "module", "pointed"}
 
     def test_pointed_sets_have_only_the_point(self):
         entry = pointed_set(3)

@@ -188,11 +188,24 @@ class TestVerify:
         assert out.startswith("PASS nat-chain 5 0")
 
     def test_nat_chain_past_its_truncation(self, capsys):
-        # depth 4 on two primes: stages 2 to 4 repeat stage 1
+        # depth 4 on two primes: stage 2 repeats stage 1 and is checked once
         code, out, _ = run(
             capsys, "verify", "--suite", "nat-chain", "--primes", "2,3", "--depth", "4"
         )
-        assert (code, out) == (0, "PASS nat-chain 6 0\n")
+        assert (code, out) == (0, "PASS nat-chain 4 0\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("verify", "--suite", "nat-chain"), "PASS nat-chain 4 0\n"),
+        (("chain",), "{2,6}\n{1,2,3,6}\n{1,2,3,6}\n"),
+    ], ids=["verify", "chain"])
+    def test_nat_chain_huge_depth_ends_at_the_fixpoint(self, argv, expected):
+        # a fresh process, killed if still running after 10 s: the chain ends
+        # at stage 2, which repeats stage 1, whatever the depth
+        proc = subprocess.run(
+            [sys.executable, "-m", "finalg", *argv, "--primes", "2,3", "--depth", "100000000"],
+            capture_output=True, text=True, env=_fresh_env(), timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
     def test_empty_prime_list_is_refused(self, capsys):
         # as `chain` refuses it, not replaced by the default primes

@@ -32,7 +32,7 @@ from finalg import (
 from finalg.cli import main
 from finalg.errors import EngineError
 
-CATALOG_DIGEST = "61b3a420186202442cbcc0d7bed1c2cca66c2cbb5acd0ae5e1cf28a745c35cbe"
+CATALOG_DIGEST = "f89ac61ea1150f1b4da6af185c085085235d20b11eec130b11bd8578ee0436a4"
 
 # subcommand -> (extra arguments per call, digest)
 PER_SET = {

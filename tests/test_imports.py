@@ -65,6 +65,11 @@ def test_term_enumeration_imports_only_errors():
     assert _package_imports(_read("algebra.py")) == {"errors"}
 
 
+def test_catalog_imports_only_algebra_and_errors():
+    # entries are data: which suite takes one is decided in suites.py
+    assert _package_imports(_read("catalog.py")) == {"algebra", "errors"}
+
+
 def test_oracles_never_import_the_closure_engine():
     assert "closure" not in _package_imports(_read("oracles.py"))
 

@@ -48,11 +48,10 @@ def z4_view():
 class TestSemiringView:
     def test_catalog_semirings_validate(self):
         for entry in build_catalog(4):
-            if entry.semiring_symbols is not None:
-                add, mul, zero, one = entry.semiring_symbols
-                view = SemiringView(entry.algebra, add, mul, zero, one)
-                assert view.zero == entry.algebra.table(zero)[0]
-                assert view.one == entry.algebra.table(one)[0]
+            if entry.kind == "semiring":
+                view = SemiringView(entry.algebra, "add", "mul", "zero", "one")
+                assert view.zero == entry.algebra.table("zero")[0]
+                assert view.one == entry.algebra.table("one")[0]
 
     def test_identity_violation_is_named(self):
         # left projection as addition: zero fails as a left identity
@@ -134,7 +133,7 @@ class TestSemiringFormulas:
         # ideal but not subtractive: {0,1} in the boolean semiring is everything,
         # so use min-plus where {inf} alone is the zero ideal
         mp = by_name("minplus2-semiring")
-        view = SemiringView(mp.algebra, *mp.semiring_symbols)
+        view = SemiringView(mp.algebra)
         whole = ElementSet.full(mp.algebra.size)
         assert is_subtractive_ideal(view, whole)
 
@@ -263,6 +262,13 @@ class TestNatChain:
         stages = nat_mult_deduction_chain([2, 3, 5, 7, 11], 5, 4)
         for earlier, later in zip(stages, stages[1:]):
             assert earlier <= later
+
+    def test_chain_ends_at_its_first_repeated_stage(self, ten_seconds):
+        # stage m repeats stage m - 1; no later stage is computed
+        stages = nat_mult_deduction_chain([2, 3], 2, 10**8)
+        assert stages == [frozenset({2, 6}), frozenset({1, 2, 3, 6}), frozenset({1, 2, 3, 6})]
+        assert nat_mult_deduction_chain([2, 3, 5, 7], 4, 10**8) == \
+            nat_mult_deduction_chain([2, 3, 5, 7], 4, 4)
 
     def test_depth_zero(self):
         assert nat_mult_deduction_chain([2, 3], 2, 0) == [frozenset({2, 6})]

@@ -24,6 +24,7 @@ from finalg import (
     right_image,
     run_suite,
     subsets_in_order,
+    suites,
 )
 from finalg.errors import InvalidPrimeList, UnknownSuite
 
@@ -90,12 +91,95 @@ class TestSuiteRuns:
         assert report.cases == 5  # seed check + two stages with two checks each
 
     def test_nat_chain_past_its_truncation(self):
-        # seed check, stage 1 with two checks, stages 2 to 4 stable after truncation
-        assert run_suite("nat-chain", primes=(2, 3), depth=4).summary() == "PASS nat-chain 6 0"
+        # seed check, stage 1 with two checks, stage 2 stable after truncation:
+        # stages 3 and 4 equal stage 2 and are not checked again
+        assert run_suite("nat-chain", primes=(2, 3), depth=4).summary() == "PASS nat-chain 4 0"
+
+    def test_nat_chain_huge_depth_ends_at_the_fixpoint(self, ten_seconds):
+        # the chain ends at stage 2, so a depth of 10**8 costs what depth 2 does
+        assert run_suite("nat-chain", primes=(2, 3), depth=10**8).summary() == \
+            "PASS nat-chain 4 0"
 
     def test_nat_chain_empty_primes_are_refused(self):
         with pytest.raises(InvalidPrimeList):
             run_suite("nat-chain", primes=())
+
+
+# the entries each catalog suite takes at limits 4 and 8, in catalog order;
+# jonsson-tarski checks every entry it takes
+_EVERY_4 = (
+    "z1-monoid z1-group z1-ring z1-semiring z1-module pointed-1 z2-monoid z3-monoid z4-monoid "
+    "sat1-monoid sat2-monoid sat3-monoid z2-group z3-group z4-group z2-ring z3-ring z4-ring "
+    "bool-semiring z2-semiring z3-semiring z4-semiring minplus0-semiring minplus1-semiring "
+    "minplus2-semiring z2-module z3-module z4-module pointed-2 pointed-3 pointed-4"
+)
+_EVERY_8 = (
+    "z1-monoid z1-group z1-ring z1-semiring z1-module pointed-1 z2-monoid z3-monoid z4-monoid "
+    "z5-monoid z6-monoid z7-monoid z8-monoid sat1-monoid sat2-monoid sat3-monoid sat4-monoid "
+    "sat5-monoid sat6-monoid sat7-monoid z2-group z3-group z4-group z5-group z6-group z7-group "
+    "z8-group z2-ring z3-ring z4-ring z5-ring z6-ring z7-ring z8-ring bool-semiring z2-semiring "
+    "z3-semiring z4-semiring z5-semiring z6-semiring z7-semiring z8-semiring minplus0-semiring "
+    "minplus1-semiring minplus2-semiring minplus3-semiring minplus4-semiring minplus5-semiring "
+    "minplus6-semiring z2-module z3-module z4-module z5-module z6-module z7-module z8-module "
+    "pointed-2 pointed-3 pointed-4 pointed-5 pointed-6 pointed-7 pointed-8"
+)
+_SUBTRACTIVE_4 = (
+    "z1-group z1-ring z1-module z2-group z3-group z4-group z2-ring z3-ring z4-ring "
+    "z2-module z3-module z4-module"
+)
+_SUBTRACTIVE_8 = (
+    "z1-group z1-ring z1-module z2-group z3-group z4-group z5-group z6-group z7-group z8-group "
+    "z2-ring z3-ring z4-ring z5-ring z6-ring z7-ring z8-ring z2-module z3-module z4-module "
+    "z5-module z6-module z7-module z8-module"
+)
+TAKEN = {
+    "theorem-a": (_EVERY_4, _EVERY_8),
+    "theorem-b": (_EVERY_4, _EVERY_8),
+    "theorem-c": (_EVERY_4, _EVERY_8),
+    "clot-idempotent": (_EVERY_4, _EVERY_8),
+    "term-oracle": (_EVERY_4, _EVERY_4),
+    "semiring": (
+        "z1-semiring bool-semiring z2-semiring z3-semiring z4-semiring minplus0-semiring "
+        "minplus1-semiring minplus2-semiring",
+        "z1-semiring bool-semiring z2-semiring z3-semiring z4-semiring z5-semiring z6-semiring "
+        "z7-semiring z8-semiring minplus0-semiring minplus1-semiring minplus2-semiring "
+        "minplus3-semiring minplus4-semiring minplus5-semiring minplus6-semiring",
+    ),
+    "comm-monoid": (
+        "z1-monoid z2-monoid z3-monoid z4-monoid sat1-monoid sat2-monoid sat3-monoid",
+        "z1-monoid z2-monoid z3-monoid z4-monoid z5-monoid z6-monoid z7-monoid z8-monoid "
+        "sat1-monoid sat2-monoid sat3-monoid sat4-monoid sat5-monoid sat6-monoid sat7-monoid",
+    ),
+    "maltsev": (_SUBTRACTIVE_4, _SUBTRACTIVE_8),
+    "subtractive": (_SUBTRACTIVE_4, _SUBTRACTIVE_8),
+    "jonsson-tarski": (_SUBTRACTIVE_4, _SUBTRACTIVE_8),
+    "rank0": (
+        "pointed-2 pointed-3 pointed-4",
+        "pointed-2 pointed-3 pointed-4 pointed-5 pointed-6 pointed-7 pointed-8",
+    ),
+}
+
+
+class TestSelection:
+    def test_every_catalog_suite_is_pinned(self):
+        assert set(TAKEN) == set(SUITE_NAMES) - {"nat-chain"}
+
+    @pytest.mark.parametrize("limit", [4, 8])
+    @pytest.mark.parametrize("name", sorted(TAKEN))
+    def test_entries_taken(self, name, limit, monkeypatch):
+        # the suite's checks are replaced by a recorder of the entries they get
+        taken = []
+        _, takes, default_limit = suites._SUITES[name]
+        record = (lambda col, entry, alg, top: taken.append(entry.name), takes, default_limit)
+        monkeypatch.setitem(suites._SUITES, name, record)
+        run_suite(name, limit=limit)
+        assert taken == TAKEN[name][limit == 8].split()
+
+    @pytest.mark.parametrize("limit, cases", [(4, 36), (8, 72)])
+    def test_jonsson_tarski_checks_every_entry_it_takes(self, limit, cases):
+        # three cases per entry: the term and both ranks
+        assert run_suite("jonsson-tarski", limit=limit).cases == cases == 3 * len(
+            TAKEN["jonsson-tarski"][limit == 8].split())
 
 
 class TestKernelRuns:
