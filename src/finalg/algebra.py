@@ -192,8 +192,7 @@ def make_algebra(
     top: int | None = None,
 ) -> FiniteAlgebra:
     """Validate raw table data and build a FiniteAlgebra."""
-    if not isinstance(sig, Signature):
-        sig = Signature.of(*sig)
+    sig = Signature.of(*sig)
     if size < 1:
         raise SizeMismatch("carrier size must be at least 1")
     for name in tables:

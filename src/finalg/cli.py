@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     primes = _parse_primes(args.primes)
-    stages = nat_mult_deduction_chain(primes, len(primes), args.depth)
+    stages = nat_mult_deduction_chain(primes, args.depth)
     for stage in stages:
         print(_format_nat(stage))
     return 0

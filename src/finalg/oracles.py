@@ -16,32 +16,26 @@ from .relations import BinRel
 
 
 class SemiringView:
-    """Designates add/mul/zero (optionally one) symbols on an algebra and
-    checks the semiring axioms exhaustively at construction: + associative
+    """Reads add/mul/zero (and one, when the signature names it) on an algebra
+    and checks the semiring axioms exhaustively at construction: + associative
     and commutative with identity zero, * associative and distributing over +
     from both sides, zero multiplicatively absorbing."""
 
-    def __init__(
-        self,
-        algebra: FiniteAlgebra,
-        add: str = "add",
-        mul: str = "mul",
-        zero: str = "zero",
-        one: str | None = "one",
-    ):
+    def __init__(self, algebra: FiniteAlgebra):
         self.algebra = algebra
-        if algebra.sig.arity(add) != 2 or algebra.sig.arity(mul) != 2:
+        sig = algebra.sig
+        if sig.arity("add") != 2 or sig.arity("mul") != 2:
             raise ArityMismatch("add and mul must be binary")
-        if algebra.sig.arity(zero) != 0:
+        if sig.arity("zero") != 0:
             raise ArityMismatch("zero must be a constant")
-        self._add = algebra.table(add)
-        self._mul = algebra.table(mul)
-        self.zero = algebra.table(zero)[0]
+        self._add = algebra.table("add")
+        self._mul = algebra.table("mul")
+        self.zero = algebra.table("zero")[0]
         self.one: int | None = None
-        if one is not None and one in algebra.sig:
-            if algebra.sig.arity(one) != 0:
+        if "one" in sig:
+            if sig.arity("one") != 0:
                 raise ArityMismatch("one must be a constant")
-            self.one = algebra.table(one)[0]
+            self.one = algebra.table("one")[0]
         self._validate()
 
     def plus(self, a: int, b: int) -> int:
@@ -144,14 +138,12 @@ def is_subtractive_ideal(view: SemiringView, subset: ElementSet) -> bool:
     return True
 
 
-def subsemigroup_generated(
-    algebra: FiniteAlgebra, add: str, subset: ElementSet
-) -> ElementSet:
-    """Closure of `subset` under the binary operation alone; empty stays empty."""
+def subsemigroup_generated(algebra: FiniteAlgebra, subset: ElementSet) -> ElementSet:
+    """Closure of `subset` under `add` alone; empty stays empty."""
     n = algebra.size
     if subset.size != n:
         raise SizeMismatch("subset over a different carrier")
-    table = algebra.table(add)
+    table = algebra.table("add")
     current = set(subset)
     while True:
         fresh = {table[a * n + b] for a in current for b in current}
@@ -160,14 +152,12 @@ def subsemigroup_generated(
         current |= fresh
 
 
-def subtractive_closure_submonoid(
-    algebra: FiniteAlgebra, add: str, subset: ElementSet
-) -> ElementSet:
+def subtractive_closure_submonoid(algebra: FiniteAlgebra, subset: ElementSet) -> ElementSet:
     """Iterate x + y in current and y in current => x in current, until stable."""
     n = algebra.size
     if subset.size != n:
         raise SizeMismatch("subset over a different carrier")
-    table = algebra.table(add)
+    table = algebra.table("add")
     current = set(subset)
     while True:
         fresh = {
@@ -322,9 +312,7 @@ def _nat_ded_step(stage: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def nat_mult_deduction_chain(
-    primes: Sequence[int], m: int, d: int
-) -> list[frozenset[int]]:
+def nat_mult_deduction_chain(primes: Sequence[int], d: int) -> list[frozenset[int]]:
     """Stages ded^0 .. ded^d of iterated deduction in the commutative monoid
     of naturals under multiplication with top 1, seeded with the consecutive
     products {p0*p1, ..., p_{m-1}*p_m} where p0 = 1 and p1..pm are the given
@@ -333,19 +321,17 @@ def nat_mult_deduction_chain(
 
     The list ends early at the first stage equal to the one before it (stage
     m): every later stage equals it."""
+    m = len(primes)
     if m < 2:
         raise InvalidPrimeList("truncation must be at least 2")
-    if m > len(primes):
-        raise InvalidPrimeList(f"need at least {m} primes, got {len(primes)}")
-    chosen = list(primes[:m])
-    if len(set(chosen)) != len(chosen):
+    if len(set(primes)) != m:
         raise InvalidPrimeList("primes must be distinct")
-    for p in chosen:
+    for p in primes:
         if not _is_prime(p):
             raise InvalidPrimeList(f"{p} is not prime")
     if d < 0:
         raise InvalidPrimeList("depth must be non-negative")
-    ps = [1] + chosen
+    ps = [1, *primes]
     seed = frozenset(ps[k] * ps[k + 1] for k in range(m))
     stages = [seed]
     for _ in range(d):

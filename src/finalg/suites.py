@@ -206,13 +206,13 @@ def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
     for subset in subsets_in_order(n):
         ind = top_induction(alg, top, subset)
         col.equal(entry.name, subset, "induction-equals-generated-subsemigroup",
-                  subsemigroup_generated(alg, "add", subset), ind)
+                  subsemigroup_generated(alg, subset), ind)
         col.equal(entry.name, subset, "induction-idempotent",
                   ind, top_induction(alg, top, ind))
     zero = alg.table("zero")[0]
     for subset in subsets_in_order(n, nonempty=False):
         # the submonoids: sets that hold zero and are closed under add
-        if zero not in subset or subsemigroup_generated(alg, "add", subset) != subset:
+        if zero not in subset or subsemigroup_generated(alg, subset) != subset:
             continue
         ded = top_deduction(alg, top, subset)
         one_step = ElementSet.of(
@@ -222,7 +222,7 @@ def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
         col.equal(entry.name, subset, "submonoid-deduction-one-step-formula",
                   one_step, ded)
         col.equal(entry.name, subset, "deductively-closed-iff-subtractive",
-                  subtractive_closure_submonoid(alg, "add", subset) == subset,
+                  subtractive_closure_submonoid(alg, subset) == subset,
                   ded.issubset(subset))
 
 
@@ -310,7 +310,7 @@ def _suite_nat_chain(col: _Collector, primes: tuple[int, ...], depth: int) -> No
     # lasts, and stage m repeats stage m - 1; the chain ends at its first
     # repeated stage, which every later stage equals
     m = len(primes)
-    stages = nat_mult_deduction_chain(primes, m, depth)
+    stages = nat_mult_deduction_chain(primes, depth)
     stages += stages[-1:] * (min(depth, m) + 1 - len(stages))
     ps = [1] + list(primes)
     seed = stages[0]

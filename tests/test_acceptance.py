@@ -156,7 +156,7 @@ def test_criterion_06_unbounded_deduction_witness(acceptance):
     ps = [1, *primes]
     seed = frozenset(ps[k] * ps[k + 1] for k in range(5))
     universe = {d for s in seed for d in range(1, s + 1) if s % d == 0}
-    stages = nat_mult_deduction_chain(primes, 5, 4)
+    stages = nat_mult_deduction_chain(primes, 4)
     problems = []
     if stages[0] != seed:
         problems.append(f"stage 0 is {sorted(stages[0])}, seed is {sorted(seed)}")

@@ -118,6 +118,10 @@ class TestElementSet:
         with pytest.raises(ValueOutOfRange):
             ElementSet.of(3, [1]).with_element(3)
 
+    def test_negative_size(self):
+        with pytest.raises(SizeMismatch, match=r"^carrier size must be non-negative$"):
+            ElementSet(-1)
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             ElementSet.of(2, [0]) | ElementSet.of(3, [0])
@@ -140,6 +144,13 @@ class TestMakeAlgebra:
         assert alg.size == 1
         assert alg.apply("add", 0, 0) == 0
         assert alg.constants() == (0,)
+
+    def test_signature_or_its_pairs(self):
+        # a Signature iterates as its (name, arity) pairs: both spellings agree
+        sig = Signature.of(("add", 2), ("zero", 0))
+        tables = {"add": [0, 1, 1, 0], "zero": [0]}
+        assert make_algebra(sig, 2, tables) == make_algebra(list(sig), 2, tables)
+        assert make_algebra(sig, 2, tables).sig == sig
 
     def test_wrong_table_length(self):
         with pytest.raises(ArityMismatch):
@@ -282,6 +293,10 @@ class TestTermEnumeration:
     def test_negative_depth(self):
         with pytest.raises(ValueOutOfRange):
             enumerate_term_images(z_monoid(2), ElementSet.empty(2), -1)
+
+    def test_generators_over_another_carrier(self):
+        with pytest.raises(SizeMismatch, match=r"^generator set over a different carrier$"):
+            enumerate_term_images(z_monoid(4), ElementSet.of(3, [1]))
 
     def test_monotone_in_depth(self):
         alg = z_monoid(4)

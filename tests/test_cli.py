@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import finalg
-from finalg import build_catalog, parse_algebra_file, render_algebra
+from finalg import ElementSet, build_catalog, parse_algebra_file, render_algebra
 from finalg import cli
 from finalg.catalog import cyclic_monoid, cyclic_ring
 from finalg.cli import build_parser, main
@@ -71,6 +71,13 @@ class TestStepCommands:
         assert code == 2
         assert out == ""
         assert err == "error: --steps must be non-negative\n"
+
+    def test_chain_past_the_print_cap(self):
+        # 33 stages print the first 32, then "..."
+        stages = [ElementSet.of(33, range(k)) for k in range(33)]
+        assert cli.CHAIN_PRINT_CAP == 32
+        assert cli._format_chain(stages) == " ⊂ ".join([*map(str, stages[:32]), "..."])
+        assert cli._format_chain(stages[:32]) == " ⊂ ".join(map(str, stages[:32]))
 
     def test_steps_and_fixpoint_conflict(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

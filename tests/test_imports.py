@@ -70,8 +70,9 @@ def test_catalog_imports_only_algebra_and_errors():
     assert _package_imports(_read("catalog.py")) == {"algebra", "errors"}
 
 
-def test_oracles_never_import_the_closure_engine():
-    assert "closure" not in _package_imports(_read("oracles.py"))
+def test_oracles_import_only_algebra_errors_and_relations():
+    # the oracles recompute from the tables: never the closure engine or ranks
+    assert _package_imports(_read("oracles.py")) == {"algebra", "errors", "relations"}
 
 
 def test_a_package_import_is_caught():

@@ -18,15 +18,19 @@ from finalg import (
     congruence_by_unionfind,
     congruence_generated,
     is_subtractive_ideal,
+    is_top_normal,
     make_algebra,
     nat_mult_deduction_chain,
     semiring_ded_oracle,
     semiring_ideal_generated,
     semiring_ind_oracle,
     subsemigroup_generated,
+    subsets_in_order,
     subtractive_closure_submonoid,
+    top_deduction,
+    top_induction,
 )
-from finalg.errors import ArityMismatch, AxiomViolation, InvalidPrimeList
+from finalg.errors import ArityMismatch, AxiomViolation, InvalidPrimeList, SizeMismatch
 from finalg.oracles import is_ideal
 
 
@@ -35,6 +39,16 @@ def by_name(name: str):
         if entry.name == name:
             return entry
     raise LookupError(name)
+
+
+def tabled(n: int, ops):
+    """The algebra on {0..n-1} whose ops are given as (name, arity, function)."""
+    return make_algebra(
+        [(name, arity) for name, arity, _ in ops],
+        n,
+        {name: [fn(*args) for args in iterprod(range(n), repeat=arity)]
+         for name, arity, fn in ops},
+    )
 
 
 def bool_view():
@@ -49,7 +63,7 @@ class TestSemiringView:
     def test_catalog_semirings_validate(self):
         for entry in build_catalog(4):
             if entry.kind == "semiring":
-                view = SemiringView(entry.algebra, "add", "mul", "zero", "one")
+                view = SemiringView(entry.algebra)
                 assert view.zero == entry.algebra.table("zero")[0]
                 assert view.one == entry.algebra.table("one")[0]
 
@@ -61,7 +75,7 @@ class TestSemiringView:
             {"add": [0, 0, 1, 1], "mul": [0, 0, 0, 1], "zero": [0]},
         )
         with pytest.raises(AxiomViolation, match="additive identity"):
-            SemiringView(alg, one=None)
+            SemiringView(alg)
 
     def test_commutativity_violation_is_named(self):
         # subtraction-like table: has identity 0 both sides? 0-b = -b, so pick
@@ -77,7 +91,7 @@ class TestSemiringView:
             {"add": add, "mul": mul, "zero": [0]},
         )
         with pytest.raises(AxiomViolation, match="commutative"):
-            SemiringView(alg, one=None)
+            SemiringView(alg)
 
     def test_absorption_violation_is_named(self):
         alg = make_algebra(
@@ -86,12 +100,16 @@ class TestSemiringView:
             {"add": [0, 1, 1, 0], "mul": [0, 1, 1, 1], "zero": [0]},
         )
         with pytest.raises(AxiomViolation, match="absorbing"):
-            SemiringView(alg, one=None)
+            SemiringView(alg)
 
     def test_arity_validation(self):
-        alg = by_name("z2-monoid").algebra
+        alg = make_algebra(
+            Signature.of(("add", 1), ("mul", 2), ("zero", 0)),
+            2,
+            {"add": [0, 1], "mul": [0, 0, 0, 1], "zero": [0]},
+        )
         with pytest.raises(ArityMismatch):
-            SemiringView(alg, add="zero", mul="add", zero="zero", one=None)
+            SemiringView(alg)
 
     def test_missing_one_is_allowed(self):
         # drop the unit from the boolean tables; validation must still pass
@@ -100,7 +118,36 @@ class TestSemiringView:
             2,
             {"add": [0, 1, 1, 1], "mul": [0, 0, 0, 1], "zero": [0]},
         )
-        assert SemiringView(alg, one=None).one is None
+        assert SemiringView(alg).one is None
+
+    @pytest.mark.parametrize("error, message, n, ops", [
+        (ArityMismatch, "zero must be a constant", 2,
+         [("add", 2, max), ("mul", 2, min), ("zero", 1, lambda a: 0)]),
+        (ArityMismatch, "one must be a constant", 2,
+         [("add", 2, max), ("mul", 2, min), ("zero", 0, lambda: 0), ("one", 1, lambda a: a)]),
+        (AxiomViolation, "one is not a multiplicative identity at 1", 2,
+         [("add", 2, max), ("mul", 2, min), ("zero", 0, lambda: 0), ("one", 0, lambda: 0)]),
+        # 1 + 1 = 2, 2 + 2 = 1 and 1 + 2 = 2: (1 + 1) + 2 = 1, 1 + (1 + 2) = 2
+        (AxiomViolation, r"addition not associative at \(1,1,2\)", 3,
+         [("add", 2, lambda a, b: a + b if 0 in (a, b) else 3 - a if a == b else 2),
+          ("mul", 2, lambda a, b: 0), ("zero", 0, lambda: 0)]),
+        # 1 * 1 = 2, every other product of nonzeros 1: (1 * 1) * 2 = 1, 1 * (1 * 2) = 2
+        (AxiomViolation, r"multiplication not associative at \(1,1,2\)", 3,
+         [("add", 2, max), ("mul", 2, lambda a, b: 0 if 0 in (a, b) else 2 if a == b == 1 else 1),
+          ("zero", 0, lambda: 0)]),
+        # every product of nonzeros is 1 over (Z3, +): 1 * (1 + 1) = 1, 1 * 1 + 1 * 1 = 2
+        (AxiomViolation, r"left distributivity fails at \(1,1,1\)", 3,
+         [("add", 2, lambda a, b: (a + b) % 3), ("mul", 2, lambda a, b: int(0 not in (a, b))),
+          ("zero", 0, lambda: 0)]),
+        # a * b = b for a nonzero distributes on the left only: (1 + 1) * 1 = 1, not 2
+        (AxiomViolation, r"right distributivity fails at \(1,1,1\)", 3,
+         [("add", 2, lambda a, b: (a + b) % 3), ("mul", 2, lambda a, b: b if a else 0),
+          ("zero", 0, lambda: 0)]),
+    ], ids=["zero-arity", "one-arity", "one-identity", "add-associative", "mul-associative",
+            "left-distributive", "right-distributive"])
+    def test_refusal_is_named(self, error, message, n, ops):
+        with pytest.raises(error, match=f"^{message}$"):
+            SemiringView(tabled(n, ops))
 
 
 class TestSemiringFormulas:
@@ -108,6 +155,10 @@ class TestSemiringFormulas:
         assert set(semiring_ideal_generated(bool_view(), ElementSet.empty(2))) == {0}
         assert set(semiring_ideal_generated(bool_view(), ElementSet.of(2, [1]))) == {0, 1}
         assert set(semiring_ideal_generated(z4_view(), ElementSet.of(4, [2]))) == {0, 2}
+
+    def test_subset_over_another_carrier(self):
+        with pytest.raises(SizeMismatch, match=r"^subset over a different carrier$"):
+            semiring_ideal_generated(z4_view(), ElementSet.of(2, [1]))
 
     def test_ind_oracle(self):
         assert set(semiring_ind_oracle(bool_view(), ElementSet.of(2, [1]))) == {1}
@@ -138,24 +189,71 @@ class TestSemiringFormulas:
         assert is_subtractive_ideal(view, whole)
 
 
+def truncated_naturals(k: int):
+    """{0..k} with + and * truncated at k, zero 0, one 1, top 0. Outside the
+    catalog, so no frozen count moves."""
+    n = k + 1
+    return make_algebra(
+        Signature.of(("add", 2), ("mul", 2), ("zero", 0), ("one", 0)),
+        n,
+        {"add": [min(a + b, k) for a, b in iterprod(range(n), repeat=2)],
+         "mul": [min(a * b, k) for a, b in iterprod(range(n), repeat=2)],
+         "zero": [0], "one": [1]},
+        top=0,
+    )
+
+
+class TestTruncatedNaturals:
+    # no catalog semiring up to limit 8 has a non-subtractive ideal; here all
+    # but {0} and the carrier are, the first being {0, k}
+    @pytest.mark.parametrize("k, ideals, non_subtractive", [
+        (2, 3, 1), (3, 4, 2), (4, 6, 4), (5, 8, 6), (6, 13, 11), (7, 17, 15),
+    ])
+    def test_normal_iff_subtractive_ideal(self, k, ideals, non_subtractive):
+        alg = truncated_naturals(k)
+        view = SemiringView(alg)
+        subsets = list(subsets_in_order(alg.size, nonempty=False))
+        found = [s for s in subsets if is_ideal(view, s)]
+        others = [s for s in found if not is_subtractive_ideal(view, s)]
+        assert (len(found), len(others)) == (ideals, non_subtractive)
+        assert set(others[0]) == {0, k}
+        bounds = [ElementSet.of(alg.size, [0]), ElementSet.full(alg.size)]
+        assert [s for s in subsets if is_top_normal(alg, 0, s).is_normal] == bounds
+        assert [s for s in found if is_subtractive_ideal(view, s)] == bounds
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_formulas_match_the_engine(self, k):
+        alg = truncated_naturals(k)
+        view = SemiringView(alg)
+        for subset in subsets_in_order(alg.size, nonempty=False):
+            assert semiring_ind_oracle(view, subset) == top_induction(alg, 0, subset)
+            assert semiring_ded_oracle(view, subset) == top_deduction(alg, 0, subset)
+
+
 class TestMonoidOracles:
     def test_subsemigroup_generated(self):
         z3 = by_name("z3-monoid").algebra
         z4 = by_name("z4-monoid").algebra
-        assert not subsemigroup_generated(z3, "add", ElementSet.empty(3))
-        assert set(subsemigroup_generated(z3, "add", ElementSet.of(3, [1]))) == {0, 1, 2}
-        assert set(subsemigroup_generated(z4, "add", ElementSet.of(4, [2]))) == {0, 2}
+        assert not subsemigroup_generated(z3, ElementSet.empty(3))
+        assert set(subsemigroup_generated(z3, ElementSet.of(3, [1]))) == {0, 1, 2}
+        assert set(subsemigroup_generated(z4, ElementSet.of(4, [2]))) == {0, 2}
 
     def test_subsemigroup_need_not_contain_identity(self):
         sat = by_name("sat3-monoid").algebra
-        assert set(subsemigroup_generated(sat, "add", ElementSet.of(4, [3]))) == {3}
+        assert set(subsemigroup_generated(sat, ElementSet.of(4, [3]))) == {3}
+
+    def test_subset_over_another_carrier(self):
+        z4 = by_name("z4-monoid").algebra
+        for oracle in (subsemigroup_generated, subtractive_closure_submonoid):
+            with pytest.raises(SizeMismatch, match=r"^subset over a different carrier$"):
+                oracle(z4, ElementSet.of(3, [1]))
 
     def test_subtractive_closure(self):
         z4 = by_name("z4-monoid").algebra
         sat3 = by_name("sat3-monoid").algebra
-        assert subtractive_closure_submonoid(z4, "add", ElementSet.full(4)) == ElementSet.full(4)
-        assert set(subtractive_closure_submonoid(z4, "add", ElementSet.of(4, [0, 2]))) == {0, 2}
-        assert set(subtractive_closure_submonoid(sat3, "add", ElementSet.of(4, [0, 3]))) == {
+        assert subtractive_closure_submonoid(z4, ElementSet.full(4)) == ElementSet.full(4)
+        assert set(subtractive_closure_submonoid(z4, ElementSet.of(4, [0, 2]))) == {0, 2}
+        assert set(subtractive_closure_submonoid(sat3, ElementSet.of(4, [0, 3]))) == {
             0, 1, 2, 3,
         }
 
@@ -176,6 +274,11 @@ class TestTermConditionCheckers:
         with pytest.raises(ArityMismatch):
             check_maltsev_term(entry.algebra, "add")
 
+    def test_maltsev_needs_both_identities(self):
+        # the first projection meets p(x, y, y) = x and fails only p(x, x, y) = y
+        first = tabled(2, [("p", 3, lambda x, y, z: x)])
+        assert not check_maltsev_term(first, "p")
+
     def test_subtractive(self):
         entry = by_name("z4-group")
         assert check_subtractive_term(entry.algebra, "sub", 0)
@@ -183,6 +286,11 @@ class TestTermConditionCheckers:
         assert not check_subtractive_term(bool_alg, "add", 0)
         with pytest.raises(ArityMismatch):
             check_subtractive_term(entry.algebra, "mal", 0)
+
+    def test_subtractive_needs_both_identities(self):
+        # the constant 0 meets s(x, x) = 0 and fails only s(x, 0) = x
+        constant = tabled(2, [("s", 2, lambda x, y: 0)])
+        assert not check_subtractive_term(constant, "s", 0)
 
     def test_subtraction_derived_from_maltsev(self):
         # s(x, y) = p(x, y, 0) satisfies the subtraction identities whenever p
@@ -250,7 +358,7 @@ class TestUnionFindCongruence:
 
 class TestNatChain:
     def test_frozen_stages_with_four_primes(self):
-        stages = nat_mult_deduction_chain([2, 3, 5, 7], 4, 4)
+        stages = nat_mult_deduction_chain([2, 3, 5, 7], 4)
         seed = {2, 6, 15, 35}
         assert stages[0] == seed
         assert stages[1] == {1, 2, 3} | seed
@@ -259,30 +367,28 @@ class TestNatChain:
         assert stages[4] == stages[3]
 
     def test_chain_is_increasing(self):
-        stages = nat_mult_deduction_chain([2, 3, 5, 7, 11], 5, 4)
+        stages = nat_mult_deduction_chain([2, 3, 5, 7, 11], 4)
         for earlier, later in zip(stages, stages[1:]):
             assert earlier <= later
 
     def test_chain_ends_at_its_first_repeated_stage(self, ten_seconds):
         # stage m repeats stage m - 1; no later stage is computed
-        stages = nat_mult_deduction_chain([2, 3], 2, 10**8)
+        stages = nat_mult_deduction_chain([2, 3], 10**8)
         assert stages == [frozenset({2, 6}), frozenset({1, 2, 3, 6}), frozenset({1, 2, 3, 6})]
-        assert nat_mult_deduction_chain([2, 3, 5, 7], 4, 10**8) == \
-            nat_mult_deduction_chain([2, 3, 5, 7], 4, 4)
+        assert nat_mult_deduction_chain([2, 3, 5, 7], 10**8) == \
+            nat_mult_deduction_chain([2, 3, 5, 7], 4)
 
     def test_depth_zero(self):
-        assert nat_mult_deduction_chain([2, 3], 2, 0) == [frozenset({2, 6})]
+        assert nat_mult_deduction_chain([2, 3], 0) == [frozenset({2, 6})]
 
     def test_validation(self):
         with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 3], 1, 1)
+            nat_mult_deduction_chain([2], 1)
         with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 3], 3, 1)
+            nat_mult_deduction_chain([2, 2], 1)
         with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 2], 2, 1)
+            nat_mult_deduction_chain([2, 9], 1)
         with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 9], 2, 1)
+            nat_mult_deduction_chain([2, 1], 1)
         with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 1], 2, 1)
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 3], 2, -1)
+            nat_mult_deduction_chain([2, 3], -1)

@@ -14,12 +14,14 @@ import pytest
 from finalg import (
     SUITE_NAMES,
     BinRel,
+    CatalogEntry,
     ElementSet,
     algebra_rank,
     build_catalog,
     closure,
     generate_subalgebra,
     left_image,
+    make_algebra,
     product_square,
     right_image,
     run_suite,
@@ -180,6 +182,17 @@ class TestSelection:
         # three cases per entry: the term and both ranks
         assert run_suite("jonsson-tarski", limit=limit).cases == cases == 3 * len(
             TAKEN["jonsson-tarski"][limit == 8].split())
+
+    def test_jonsson_tarski_skips_an_entry_whose_sub_fails(self, monkeypatch):
+        # s(x, y) = x fails s(x, x) = top: the entry counts no case at all
+        z3 = next(e for e in build_catalog(4) if e.name == "z3-group")
+        tables = {name: z3.algebra.table(name) for name, _ in z3.algebra.sig}
+        tables["sub"] = [x for x in range(3) for _ in range(3)]
+        broken = make_algebra(z3.algebra.sig, 3, tables, top=0)
+        monkeypatch.setattr(suites, "build_catalog",
+                            lambda limit: [z3, CatalogEntry("z3-left-sub", broken, z3.kind)])
+        report = run_suite("jonsson-tarski")
+        assert (report.cases, report.failures) == (3, ())
 
 
 class TestKernelRuns:
