@@ -275,40 +275,32 @@ def congruence_by_unionfind(
     return BinRel(n, tuple(rows))
 
 
+# the prime bases up to 41, and the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017): below it the test is exact
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    # p is a strong probable prime to base a: with p - 1 = d * 2^s, d odd,
+    # a^d = 1 or a^(d * 2^r) = -1 (mod p) for some r < s
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 def _nat_ded_step(stage: frozenset[int]) -> frozenset[int]:
-    # products of >= 1 stage elements, confined to divisors of stage elements
-    members = sorted(stage)
-
-    def divides_some(q: int) -> bool:
-        return any(j % q == 0 for j in members)
-
-    products: set[int] = set()
-    frontier = {q for q in members if divides_some(q)}
+    # D(S) = {s/u : s in S, u in <S>, u | s}: divide stage elements by the
+    # stage elements that divide them until no new quotient appears
+    out, frontier = set(stage), list(stage)
     while frontier:
-        products |= frontier
-        nxt = set()
-        for q in frontier:
-            for y in members:
-                qq = q * y
-                if qq not in products and divides_some(qq):
-                    nxt.add(qq)
-        frontier = nxt - products
-    out = set(stage)
-    for q in products:
-        for j in members:
-            if j % q == 0:
-                out.add(j // q)
+        q = frontier.pop()
+        fresh = {q // u for u in stage if q % u == 0} - out
+        out |= fresh
+        frontier += fresh
     return frozenset(out)
 
 
@@ -316,8 +308,11 @@ def nat_mult_deduction_chain(primes: Sequence[int], d: int) -> list[frozenset[in
     """Stages ded^0 .. ded^d of iterated deduction in the commutative monoid
     of naturals under multiplication with top 1, seeded with the consecutive
     products {p0*p1, ..., p_{m-1}*p_m} where p0 = 1 and p1..pm are the given
-    primes. Every stage element divides a seed element, so the computation
-    stays inside a finite divisor universe. Exact integer arithmetic.
+    primes. One step is D(S) = {x : x*u in S for some u in the submonoid
+    <S>}, computed as the quotients s/u; every stage element divides a seed
+    element, so the computation stays inside a finite divisor universe.
+    Exact integer arithmetic. Primes must lie below 3317044064679887385961981,
+    where primality is decided exactly.
 
     The list ends early at the first stage equal to the one before it (stage
     m): every later stage equals it."""
@@ -327,6 +322,8 @@ def nat_mult_deduction_chain(primes: Sequence[int], d: int) -> list[frozenset[in
     if len(set(primes)) != m:
         raise InvalidPrimeList("primes must be distinct")
     for p in primes:
+        if p >= _PRIME_TEST_BOUND:
+            raise InvalidPrimeList(f"{p} is too large: primes must be below {_PRIME_TEST_BOUND}")
         if not _is_prime(p):
             raise InvalidPrimeList(f"{p} is not prime")
     if d < 0:

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs and exit codes, in-process."""
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -222,6 +223,9 @@ class TestVerify:
         )
 
 
+M61 = 2**61 - 1  # a Mersenne prime
+
+
 class TestChain:
     def test_golden_stages(self, capsys):
         code, out, _ = run(capsys, "chain", "--primes", "2,3,5,7", "--depth", "3")
@@ -242,6 +246,40 @@ class TestChain:
         code, _, err = run(capsys, "chain", "--primes", "2,x", "--depth", "1")
         assert code == 2
         assert "malformed" in err
+
+    @pytest.mark.parametrize("command, accepted", [
+        (["chain"], f"{{2,{2 * M61}}}\n" + f"{{1,2,{M61},{2 * M61}}}\n" * 2),
+        (["verify", "--suite", "nat-chain"], "PASS nat-chain 4 0\n"),
+    ], ids=["chain", "verify"])
+    @pytest.mark.parametrize("prime, code, err", [
+        (M61, 0, ""),
+        (M61 + 2, 2, f"error: {M61 + 2} is not prime\n"),
+        (10**39 + 3, 2, f"error: {10**39 + 3} is too large: primes must be below "
+                        "3317044064679887385961981\n"),
+    ], ids=["2^61-1", "2^61+1", "10^39+3"])
+    def test_large_prime_ends(self, command, accepted, prime, code, err):
+        # a fresh process, killed if still running after 10 s; stdout is
+        # `accepted` for the prime and empty for a refusal
+        proc = subprocess.run(
+            [sys.executable, "-m", "finalg", *command, "--primes", f"2,{prime}", "--depth", "2"],
+            capture_output=True, text=True, env=_fresh_env(), timeout=10,
+        )
+        out = accepted if code == 0 else ""
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_first_hundred_primes(self):
+        # a fresh process, killed if still running after 10 s; the stages
+        # are pinned by the sha256 of stdout
+        primes = [p for p in range(2, 542) if all(p % d for d in range(2, p))]
+        assert len(primes) == 100
+        proc = subprocess.run(
+            [sys.executable, "-m", "finalg", "chain", "--primes", ",".join(map(str, primes)),
+             "--depth", "1000"],
+            capture_output=True, env=_fresh_env(), timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            "dda4b1aeafb77dc99ef7746829e5dd0ac16e4b1e216c1f906306979eec6f37ef"
 
 
 class TestInputErrors:

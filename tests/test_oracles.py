@@ -3,6 +3,7 @@ condition checkers, the union-find congruence, and the exact deduction chain
 on naturals under multiplication."""
 from __future__ import annotations
 
+import random
 from itertools import product as iterprod
 
 import pytest
@@ -31,7 +32,7 @@ from finalg import (
     top_induction,
 )
 from finalg.errors import ArityMismatch, AxiomViolation, InvalidPrimeList, SizeMismatch
-from finalg.oracles import is_ideal
+from finalg.oracles import _is_prime, _nat_ded_step, is_ideal
 
 
 def by_name(name: str):
@@ -382,13 +383,56 @@ class TestNatChain:
         assert nat_mult_deduction_chain([2, 3], 0) == [frozenset({2, 6})]
 
     def test_validation(self):
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2], 1)
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 2], 1)
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 9], 1)
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 1], 1)
-        with pytest.raises(InvalidPrimeList):
-            nat_mult_deduction_chain([2, 3], -1)
+        cases = [
+            (([], 1), "truncation must be at least 2"),
+            (([2], 1), "truncation must be at least 2"),
+            (([2, 2], 1), "primes must be distinct"),
+            (([2, 9], 1), "9 is not prime"),
+            (([2, 1], 1), "1 is not prime"),
+            (([2, 2**61 + 1], 1), f"{2**61 + 1} is not prime"),
+            (([2, 3317044064679887385961981], 1), "3317044064679887385961981 is too large: "
+             "primes must be below 3317044064679887385961981"),
+            (([2, 3], -1), "depth must be non-negative"),
+        ]
+        for (primes, depth), message in cases:
+            with pytest.raises(InvalidPrimeList) as caught:
+                nat_mult_deduction_chain(primes, depth)
+            assert str(caught.value) == message
+
+    def test_primality_matches_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-2, 20000) if _is_prime(n)] == \
+            [n for n in range(-2, 20000) if by_trial_division(n)]
+
+    def test_primality_past_trial_division(self):
+        # the least strong pseudoprimes to the first k prime bases for k = 1..12,
+        # a Carmichael number and products of two large primes, then primes
+        composites = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                      341550071728321, 3825123056546413051, 318665857834031151167461, 561,
+                      2**67 - 1, (2**31 - 1) ** 2, 1000000007 * 998244353)
+        assert not any(_is_prime(n) for n in composites)
+        assert all(_is_prime(p) for p in (2**31 - 1, 2**61 - 1, 1000000007, 998244353))
+
+    def test_step_is_deduction_by_definition(self):
+        # D(S) = {x : x*u in S for some u in the submonoid <S>}, from its
+        # definition: every product u of elements of S up to max S, and
+        # every x up to max S
+        def by_definition(stage):
+            top = max(stage)
+            monoid = {1}
+            while True:
+                more = {u * s for u in monoid for s in stage if u * s <= top} - monoid
+                if not more:
+                    break
+                monoid |= more
+            return {x for x in range(1, top + 1) for u in monoid if x * u in stage}
+
+        rng = random.Random("nat-ded-step")
+        for _ in range(400):
+            stage = frozenset(rng.sample(range(1, 61), rng.randint(1, 8)))
+            assert _nat_ded_step(stage) == by_definition(stage), sorted(stage)
+        for primes in ([2, 3, 5, 7], [7, 2, 5], [3, 11, 2, 13, 5]):
+            for stage in nat_mult_deduction_chain(primes, 8):
+                assert _nat_ded_step(stage) == by_definition(stage), sorted(stage)

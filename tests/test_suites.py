@@ -9,6 +9,8 @@ counterexamples, computed by term enumeration.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from finalg import (
@@ -105,6 +107,19 @@ class TestSuiteRuns:
     def test_nat_chain_empty_primes_are_refused(self):
         with pytest.raises(InvalidPrimeList):
             run_suite("nat-chain", primes=())
+
+    def test_nat_chain_on_random_prime_lists(self):
+        # the seed check, two checks per stage up to stage m - 1, and one
+        # stability check once the depth reaches m
+        rng = random.Random("nat-chain-suite")
+        small_primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+        for _ in range(50):
+            primes = tuple(rng.sample(small_primes, rng.randint(2, 12)))
+            depth = rng.randint(0, 14)
+            m = len(primes)
+            cases = 1 + 2 * min(depth, m - 1) + (depth >= m)
+            assert run_suite("nat-chain", primes=primes, depth=depth).summary() == \
+                f"PASS nat-chain {cases} 0", (primes, depth)
 
 
 # the entries each catalog suite takes at limits 4 and 8, in catalog order;
