@@ -21,6 +21,7 @@ from .errors import (
 )
 
 DEFAULT_CARRIER_LIMIT = 4096
+SQUARE_TABLE_LIMIT = 1 << 20  # entries in all of a product square's tables
 ENUMERATION_LIMIT = 16  # largest carrier whose subsets are enumerated
 
 
@@ -220,15 +221,19 @@ def make_algebra(
 def product_square(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """The direct square A x A with pair (a, b) encoded as a*size + b.
 
-    Built afresh on every call, with (n^2)^k entries for a k-ary op. The
-    closure engine never builds it; the term-enumeration checks close over it
-    as an independent reference."""
-    if algebra.size * algebra.size > DEFAULT_CARRIER_LIMIT:
-        raise SizeOverflow(
-            f"squared carrier {algebra.size**2} exceeds limit {DEFAULT_CARRIER_LIMIT}"
-        )
+    Built afresh on every call, with (n^2)^k entries for a k-ary op, and
+    refused before any table is built when the entries of all the tables
+    would exceed SQUARE_TABLE_LIMIT. The closure engine never builds it; the
+    term-enumeration checks close over it as an independent reference."""
     n = algebra.size
     n2 = n * n
+    if n2 > DEFAULT_CARRIER_LIMIT:
+        raise SizeOverflow(f"squared carrier {n2} exceeds limit {DEFAULT_CARRIER_LIMIT}")
+    entries = sum(n2**arity for _, arity in algebra.sig)
+    if entries > SQUARE_TABLE_LIMIT:
+        raise SizeOverflow(
+            f"square tables of {entries} entries exceed limit {SQUARE_TABLE_LIMIT}"
+        )
     high = [p // n for p in range(n2)]
     low = [p % n for p in range(n2)]
     tables = []

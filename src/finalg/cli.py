@@ -19,7 +19,7 @@ from .closure import (
     semicongruence_generated,
 )
 from .errors import EngineError
-from .fileformat import parse_algebra_file
+from .fileformat import overlong_digits, parse_algebra_file
 from .oracles import nat_mult_deduction_chain
 from .ranks import algebra_rank
 from .suites import SUITE_NAMES, _format_nat, run_suite
@@ -48,14 +48,25 @@ def _resolve_top(algebra: FiniteAlgebra, override: int | None) -> int:
     return top
 
 
-def _parse_set(text: str, size: int) -> ElementSet:
-    if text == "-":
-        return ElementSet.empty(size)
+# the refusal of a flag's text that is no list of comma-separated integers
+_MALFORMED = {
+    "--set": "malformed set {!r}: use comma-separated integers or '-'",
+    "--primes": "malformed prime list {!r}: use comma-separated integers",
+}
+
+
+def _integers(text: str, flag: str) -> list[int]:
+    """The comma-separated integers given to `flag`. A decimal numeral with
+    more digits than `int` reads is refused by its digit count, not echoed."""
+    pieces = text.split(",")
     try:
-        members = [int(piece) for piece in text.split(",")]
+        return [int(piece) for piece in pieces]
     except ValueError:
-        raise EngineError(f"malformed set {text!r}: use comma-separated integers or '-'") from None
-    return ElementSet.of(size, members)
+        pass
+    for piece in pieces:
+        if digits := overlong_digits(piece):
+            raise EngineError(f"{flag}: an integer of {digits} digits is too large")
+    raise EngineError(_MALFORMED[flag].format(text))
 
 
 def _format_chain(stages: Sequence[ElementSet]) -> str:
@@ -70,7 +81,10 @@ def _on_input(handler, args: argparse.Namespace) -> int:
     one, and hand them to `handler`: the first fault met is the one reported."""
     algebra = _load(args.file)
     top = _resolve_top(algebra, args.top)
-    subset = _parse_set(args.set, algebra.size) if "set" in args else None
+    subset = None
+    if "set" in args:
+        members = [] if args.set == "-" else _integers(args.set, "--set")
+        subset = ElementSet.of(algebra.size, members)
     return handler(args, algebra, top, subset)
 
 
@@ -119,15 +133,11 @@ def _cmd_rank(args: argparse.Namespace, algebra: FiniteAlgebra, top: int, _: Non
     return 0
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise EngineError(f"malformed prime list {text!r}: use comma-separated integers") from None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    primes = None if args.primes is None else _parse_primes(args.primes)
+    # --primes and --depth configure nat-chain; every other suite ignores them
+    primes = None
+    if args.suite == "nat-chain" and args.primes is not None:
+        primes = tuple(_integers(args.primes, "--primes"))
     report = run_suite(args.suite, limit=args.limit, primes=primes, depth=args.depth)
     for line in report.lines():
         print(line)
@@ -135,8 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    primes = _parse_primes(args.primes)
-    stages = nat_mult_deduction_chain(primes, args.depth)
+    stages = nat_mult_deduction_chain(_integers(args.primes, "--primes"), args.depth)
     for stage in stages:
         print(_format_nat(stage))
     return 0

@@ -41,6 +41,21 @@ def _words(text: str) -> list[str]:
     ]
 
 
+def overlong_digits(word: str) -> int:
+    """The digit count of `word` when it is a decimal numeral, signed or
+    not, that `int` refuses, which it does only past its digit limit
+    (`sys.get_int_max_str_digits`); else 0."""
+    digits = word.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if digits.isdecimal():
+        try:
+            int(digits)
+        except ValueError:
+            return len(digits)
+    return 0
+
+
 def _positions(text: str) -> list[tuple[int, int]]:
     """(line, col) of every token of `_words`; only an error needs them."""
     out = []
@@ -103,6 +118,9 @@ class _Parser:
         try:
             return int(word)
         except ValueError:
+            if digits := overlong_digits(word):
+                raise self._last(f"{what} of {digits} digits is too large",
+                                 ValueOutOfRange) from None
             raise self._last(f"expected {what}, found {word!r}") from None
 
     def element(self, what: str, label: str, size: int) -> int:

@@ -11,7 +11,7 @@ from itertools import product as iterprod
 from typing import Iterable, Sequence
 
 from .algebra import ElementSet, FiniteAlgebra
-from .errors import ArityMismatch, AxiomViolation, InvalidPrimeList, SizeMismatch
+from .errors import ArityMismatch, AxiomViolation, InvalidPrimeList, SizeMismatch, ValueOutOfRange
 from .relations import BinRel
 
 
@@ -115,27 +115,14 @@ def semiring_ded_oracle(view: SemiringView, subset: ElementSet) -> ElementSet:
 
 
 def is_ideal(view: SemiringView, subset: ElementSet) -> bool:
-    if view.zero not in subset:
-        return False
-    for a in subset:
-        for b in subset:
-            if view.plus(a, b) not in subset:
-                return False
-        for x in range(view.algebra.size):
-            if view.times(a, x) not in subset or view.times(x, a) not in subset:
-                return False
-    return True
+    """Whether `subset` is an ideal: the ideal it generates is itself."""
+    return semiring_ideal_generated(view, subset) == subset
 
 
 def is_subtractive_ideal(view: SemiringView, subset: ElementSet) -> bool:
-    """Ideal such that x + y in it and y in it force x in it."""
-    if not is_ideal(view, subset):
-        return False
-    for x in range(view.algebra.size):
-        for y in subset:
-            if view.plus(x, y) in subset and x not in subset:
-                return False
-    return True
+    """Ideal such that x + y in it and y in it force x in it: an ideal its
+    subtractive closure fixes. The closure, the cheaper test, goes first."""
+    return subtractive_closure_submonoid(view.algebra, subset) == subset and is_ideal(view, subset)
 
 
 def subsemigroup_generated(algebra: FiniteAlgebra, subset: ElementSet) -> ElementSet:
@@ -170,48 +157,58 @@ def subtractive_closure_submonoid(algebra: FiniteAlgebra, subset: ElementSet) ->
         current |= fresh
 
 
+_ARITY_WORDS = {2: "binary", 3: "ternary"}
+
+
+def _identities_hold(algebra: FiniteAlgebra, symbol: str, arity: int,
+                     identities: list[tuple[tuple[int, ...], int]]) -> bool:
+    """Whether the operation `symbol`, which must have this arity, takes
+    each argument tuple of `identities` to its value. Every argument is
+    checked before the verdict, so one outside the carrier is refused
+    whatever the table holds."""
+    if algebra.sig.arity(symbol) != arity:
+        raise ArityMismatch(f"{symbol!r} must be {_ARITY_WORDS[arity]}")
+    n = algebra.size
+    table = algebra.table(symbol)
+    images = []
+    for args, _ in identities:
+        index = 0
+        for a in args:
+            if not 0 <= a < n:
+                raise ValueOutOfRange(f"argument {a} outside carrier of size {n}")
+            index = index * n + a
+        images.append(table[index])
+    return images == [value for _, value in identities]
+
+
 def check_maltsev_term(algebra: FiniteAlgebra, symbol: str) -> bool:
     """Whether the ternary operation satisfies p(x, y, y) = x and
     p(x, x, y) = y over the whole carrier."""
-    if algebra.sig.arity(symbol) != 3:
-        raise ArityMismatch(f"{symbol!r} must be ternary")
-    n = algebra.size
-    table = algebra.table(symbol)
-    for x in range(n):
-        for y in range(n):
-            if table[(x * n + y) * n + y] != x:
-                return False
-            if table[(x * n + x) * n + y] != y:
-                return False
-    return True
+    xs = range(algebra.size)
+    return _identities_hold(algebra, symbol, 3, [
+        *(((x, y, y), x) for x in xs for y in xs),
+        *(((x, x, y), y) for x in xs for y in xs),
+    ])
 
 
 def check_subtractive_term(algebra: FiniteAlgebra, symbol: str, zero: int) -> bool:
     """Whether the binary operation satisfies s(x, x) = zero and
     s(x, zero) = x over the whole carrier. These are the subtraction-style
     identities; s(x, y) = x - y realizes them in any group."""
-    if algebra.sig.arity(symbol) != 2:
-        raise ArityMismatch(f"{symbol!r} must be binary")
-    n = algebra.size
-    table = algebra.table(symbol)
-    for x in range(n):
-        if table[x * n + x] != zero:
-            return False
-        if table[x * n + zero] != x:
-            return False
-    return True
+    xs = range(algebra.size)
+    return _identities_hold(algebra, symbol, 2, [
+        *(((x, x), zero) for x in xs),
+        *(((x, zero), x) for x in xs),
+    ])
 
 
 def check_jonsson_tarski_term(algebra: FiniteAlgebra, symbol: str, zero: int) -> bool:
     """Whether the binary operation satisfies u(x, zero) = x = u(zero, x)."""
-    if algebra.sig.arity(symbol) != 2:
-        raise ArityMismatch(f"{symbol!r} must be binary")
-    n = algebra.size
-    table = algebra.table(symbol)
-    for x in range(n):
-        if table[x * n + zero] != x or table[zero * n + x] != x:
-            return False
-    return True
+    xs = range(algebra.size)
+    return _identities_hold(algebra, symbol, 2, [
+        *(((x, zero), x) for x in xs),
+        *(((zero, x), x) for x in xs),
+    ])
 
 
 class _UnionFind:

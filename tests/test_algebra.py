@@ -234,6 +234,14 @@ class TestProductSquare:
             product_square(alg)
         assert str(err.value) == "squared carrier 4225 exceeds limit 4096"
 
+    def test_table_overflow_is_refused_before_any_table_is_built(self, ten_seconds):
+        # 30^2 = 900 passes the squared-carrier limit, but one ternary op
+        # would give 900^3 = 729,000,000 entries
+        alg = make_algebra([("t", 3)], 30, {"t": [0] * 30**3})
+        with pytest.raises(SizeOverflow) as err:
+            product_square(alg)
+        assert str(err.value) == "square tables of 729000000 entries exceed limit 1048576"
+
 
 class TestGenerateSubalgebra:
     def test_z4_frozen_values(self):

@@ -222,6 +222,19 @@ class TestVerify:
             2, "", "error: malformed prime list '': use comma-separated integers\n"
         )
 
+    @pytest.mark.parametrize("primes", ["x", "1" * 5000])
+    def test_primes_are_read_by_nat_chain_alone(self, capsys, primes):
+        # other suites ignore --primes, as they ignore --depth
+        plain = run(capsys, "verify", "--suite", "theorem-a")
+        assert run(capsys, "verify", "--suite", "theorem-a", "--primes", primes) == plain
+        assert run(capsys, "verify", "--suite", "theorem-a", "--depth", "-4") == plain
+
+    def test_nat_chain_malformed_primes(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "nat-chain", "--primes", "2,x")
+        assert (code, out, err) == (
+            2, "", "error: malformed prime list '2,x': use comma-separated integers\n"
+        )
+
 
 M61 = 2**61 - 1  # a Mersenne prime
 
@@ -382,6 +395,31 @@ READING_CASES = {
     "bad-last-byte": (Z4_CRLF + b"\xe2", 2,
                       NOT_UTF8 + f"0xe2 in position {len(Z4_CRLF)}: unexpected end of data\n"),
 }
+
+
+class TestOverlongIntegers:
+    """A decimal numeral with more digits than `int` reads (4,300 by
+    default) is refused by its flag and digit count, without the numeral."""
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("chain", "--primes", f"2,{LONG}", "--depth", "1"), "--primes"),
+        (("verify", "--suite", "nat-chain", "--primes", f"2,{LONG}"), "--primes"),
+        (("ind", "z4-monoid", "--set", LONG), "--set"),
+        (("ind", "z4-monoid", "--set", f"1,+{LONG}"), "--set"),
+        (("ind", "z4-monoid", "--set", f"x,{LONG}"), "--set"),
+    ], ids=["chain", "verify", "set", "signed-set", "after-a-malformed-piece"])
+    def test_refused_by_digit_count(self, files, capsys, argv, flag):
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert (code, out, err) == (
+            2, "", f"error: {flag}: an integer of 5000 digits is too large\n"
+        )
+
+    def test_the_longest_numeral_int_reads_is_accepted(self, files, capsys):
+        code, out, _ = run(capsys, "ind", files["z4-monoid"], "--set", "0" * 4299 + "1",
+                         "--steps", "0")
+        assert (code, out) == (0, "{1}\n{1}\n")
 
 
 class TestReading:

@@ -200,6 +200,26 @@ class TestExactDiagnostics:
         alg = parse_algebra("algebra a\nsize 4\nop f 1\n+1 \u0663 0 0_1\nend\n")
         assert alg.tables == ((1, 3, 0, 1),)
 
+    @pytest.mark.parametrize("text, message", [
+        (f"algebra a\nsize {'1' * 5000}\nend\n",
+         "2:6: carrier size of 5000 digits is too large"),
+        (f"algebra a\nsize 2\nop f -{'0' * 4301}\nend\n",
+         "3:6: arity of 4301 digits is too large"),
+        (f"algebra a\nsize 2\nop f 1\n0 +{'1' * 5000}\nend\n",
+         "4:3: table entry of 5000 digits is too large"),
+        (f"algebra a\nsize 2\ntop {'0' * 4301}\nend\n",
+         "3:5: top element of 4301 digits is too large"),
+    ], ids=["size", "signed-arity", "table-entry", "top"])
+    def test_overlong_numeral_is_refused_by_digit_count(self, text, message):
+        # past `int`'s 4,300 digits: the numeral is not echoed
+        with pytest.raises(ValueOutOfRange) as exc:
+            parse_algebra(text)
+        assert str(exc.value) == message
+
+    def test_the_longest_numeral_int_reads_is_accepted(self):
+        alg = parse_algebra(f"algebra a\nsize 2\nconst c {'0' * 4300}\nend\n")
+        assert alg.tables == ((0,),)
+
 
 class TestMakeAlgebraRefusals:
     @pytest.mark.parametrize("table, first", [([2, 7, -3], 7), ([2, -3, 7], -3)])

@@ -31,7 +31,13 @@ from finalg import (
     top_deduction,
     top_induction,
 )
-from finalg.errors import ArityMismatch, AxiomViolation, InvalidPrimeList, SizeMismatch
+from finalg.errors import (
+    ArityMismatch,
+    AxiomViolation,
+    InvalidPrimeList,
+    SizeMismatch,
+    ValueOutOfRange,
+)
 from finalg.oracles import _is_prime, _nat_ded_step, is_ideal
 
 
@@ -189,6 +195,12 @@ class TestSemiringFormulas:
         whole = ElementSet.full(mp.algebra.size)
         assert is_subtractive_ideal(view, whole)
 
+    @pytest.mark.parametrize("predicate", [is_ideal, is_subtractive_ideal])
+    @pytest.mark.parametrize("size", [2, 8])
+    def test_ideal_predicates_refuse_another_carrier(self, predicate, size):
+        with pytest.raises(SizeMismatch, match=r"^subset over a different carrier$"):
+            predicate(z4_view(), ElementSet.of(size, [0]))
+
 
 def truncated_naturals(k: int):
     """{0..k} with + and * truncated at k, zero 0, one 1, top 0. Outside the
@@ -221,6 +233,13 @@ class TestTruncatedNaturals:
         bounds = [ElementSet.of(alg.size, [0]), ElementSet.full(alg.size)]
         assert [s for s in subsets if is_top_normal(alg, 0, s).is_normal] == bounds
         assert [s for s in found if is_subtractive_ideal(view, s)] == bounds
+
+    def test_subtractive_closure_alone_is_not_an_ideal(self):
+        # {0, 1} is fixed by the subtractive closure, but 1 + 1 = 2 leaves it
+        view = SemiringView(truncated_naturals(3))
+        subset = ElementSet.of(4, [0, 1])
+        assert subtractive_closure_submonoid(view.algebra, subset) == subset
+        assert not is_subtractive_ideal(view, subset)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_formulas_match_the_engine(self, k):
@@ -310,6 +329,24 @@ class TestTermConditionCheckers:
         assert check_jonsson_tarski_term(one, "u", 0)
         with pytest.raises(ArityMismatch):
             check_jonsson_tarski_term(by_name("z4-group").algebra, "neg", 0)
+
+    @pytest.mark.parametrize("check, arity, fn, zero", [
+        (check_maltsev_term, 3, lambda x, y, z: z, ()),
+        (check_jonsson_tarski_term, 2, lambda x, y: x, (0,)),
+        (check_jonsson_tarski_term, 2, lambda x, y: y, (0,)),
+    ], ids=["maltsev-third-projection", "jonsson-tarski-first", "jonsson-tarski-second"])
+    def test_a_projection_fails_the_identity_it_misses(self, check, arity, fn, zero):
+        # p(x, y, z) = z meets only p(x, x, y) = y; u(x, y) = x meets only
+        # u(x, 0) = x, and u(x, y) = y only u(0, x) = x
+        assert not check(tabled(2, [("f", arity, fn)]), "f", *zero)
+
+    @pytest.mark.parametrize("check, symbol", [
+        (check_jonsson_tarski_term, "add"), (check_subtractive_term, "sub"),
+    ])
+    @pytest.mark.parametrize("zero", [4, 7, -1])
+    def test_zero_outside_the_carrier(self, check, symbol, zero):
+        with pytest.raises(ValueOutOfRange, match=rf"^argument {zero} outside carrier of size 4$"):
+            check(by_name("z4-group").algebra, symbol, zero)
 
 
 def naive_congruence(algebra, pairs):
