@@ -69,6 +69,18 @@ def _integers(text: str, flag: str) -> list[int]:
     raise EngineError(_MALFORMED[flag].format(text))
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag's value, read by `int`. A decimal numeral with more
+    digits than `int` reads is refused by its digit count, not echoed; any
+    other fault in argparse's own words."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = overlong_digits(text)
+        raise argparse.ArgumentTypeError(f"an integer of {digits} digits is too large" if digits
+                                         else f"invalid int value: {text!r}") from None
+
+
 def _format_chain(stages: Sequence[ElementSet]) -> str:
     shown = [str(s) for s in stages[:CHAIN_PRINT_CAP]]
     if len(stages) > CHAIN_PRINT_CAP:
@@ -168,14 +180,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         if needs_set:
             p.add_argument("--set", required=True,
                            help="comma-separated elements, or '-' for the empty set")
-        p.add_argument("--top", type=int, default=None,
+        p.add_argument("--top", type=_flag_int, default=None,
                        help="override the file's top element")
 
     for name, mode in (("ind", "induction"), ("ded", "deduction")):
         p = sub.add_parser(name, help=f"iterated {mode} of a set")
         with_input(p, partial(_cmd_step, mode=mode))
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--steps", type=int, default=1, help="number of steps (default 1)")
+        group.add_argument("--steps", type=_flag_int, default=1, help="number of steps (default 1)")
         group.add_argument("--fixpoint", action="store_true", help="iterate to the fixpoint")
 
     with_input(sub.add_parser("clot", help="smallest clot containing a set"), _cmd_clot)
@@ -189,19 +201,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = sub.add_parser("rank", help="largest steps-to-fixpoint over nonempty subsets")
     with_input(p, _cmd_rank, needs_set=False)
     p.add_argument("--mode", choices=("ind", "ded"), required=True)
-    p.add_argument("--max-n", type=int, default=None, help="step budget per subset")
+    p.add_argument("--max-n", type=_flag_int, default=None, help="step budget per subset")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
-    p.add_argument("--limit", type=int, default=None, help="catalog size limit")
+    p.add_argument("--limit", type=_flag_int, default=None, help="catalog size limit")
     p.add_argument("--primes", default=None, help="comma-separated primes (nat-chain)")
-    p.add_argument("--depth", type=int, default=None, help="chain depth (nat-chain)")
+    p.add_argument("--depth", type=_flag_int, default=None, help="chain depth (nat-chain)")
 
     p = sub.add_parser("chain", help="exact deduction chain on naturals under multiplication")
     p.set_defaults(handler=_cmd_chain)
     p.add_argument("--primes", required=True, help="comma-separated distinct primes")
-    p.add_argument("--depth", type=int, required=True, help="number of steps")
+    p.add_argument("--depth", type=_flag_int, required=True, help="number of steps")
 
     return parser, sub.choices
 

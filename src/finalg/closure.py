@@ -209,6 +209,8 @@ class Closures:
         self.size = n
         self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
+        # a mask becomes a seed by joining its bits with this gap (`_induced`)
+        self._gap = "0" * (n - 1)
         # one mask -> mask map per (mode, top)
         self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
 
@@ -235,23 +237,31 @@ class Closures:
         (each pair), `base`, the diagonal; each counts if kept and inside T.
         The first R_J holding T is R_T (Sg(diagonal + T) is monotone in T),
         kept as that tuple; else the kernel closes the first counted R_J
-        plus the pairs of T outside J."""
+        plus the pairs of T outside J. R_J of T less (a, b) holds T iff it
+        holds (a, b): one bit test."""
         kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
         start = None
-        for sub in (*(seed ^ 1 << code for code in _bits(seed)), base, 0):
-            if sub & ~seed or (got := kept.get(sub)) is None:
-                continue
-            pairs = [divmod(code, n) for code in _bits(seed & ~sub)]
-            if all(got[a] >> b & 1 for a, b in pairs):
-                break
-            start = start or (got, pairs)
+        for code in _bits(seed):
+            if (got := kept.get(seed ^ 1 << code)) is not None:
+                a, b = divmod(code, n)
+                if got[a] >> b & 1:
+                    break
+                start = start or (got, [(a, b)])
         else:
-            grown = list(start[0])
-            for a, b in start[1]:
-                grown[a] |= 1 << b
-            got = _close(self, grown, start[0])
+            for sub in (base, 0):
+                if sub & ~seed or (got := kept.get(sub)) is None:
+                    continue
+                pairs = [divmod(code, n) for code in _bits(seed & ~sub)]
+                if all(got[a] >> b & 1 for a, b in pairs):
+                    break
+                start = start or (got, pairs)
+            else:
+                grown = list(start[0])
+                for a, b in start[1]:
+                    grown[a] |= 1 << b
+                got = _close(self, grown, start[0])
         kept[seed] = got
         return got
 
@@ -259,14 +269,16 @@ class Closures:
         """Rows of R_I, I the set with this mask, the kept R of `base`'s set
         a candidate to grow it from. Masks become seeds only here, x at bit
         x * n + top; the caller has checked top and mask (`_closures_for`)."""
-        n = self.size
-        seed, base = (int(("0" * (n - 1)).join(f"{m:b}"), 2) << top for m in (mask, base))
-        return self._rows_of(seed, base)
+        gap = self._gap
+        if base:
+            base = int(gap.join(f"{base:b}"), 2) << top
+        return self._rows_of(int(gap.join(f"{mask:b}"), 2) << top, base)
 
-    def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
+    def _step(self, memo: dict[int, int], mode: Mode, top: int, mask: int,
+              base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
-        mask: the left or right image of I under R_I, memoised per mode and top."""
-        memo = self._steps[mode, top]
+        mask: the left or right image of I under R_I, kept in `memo`, the
+        entry of `_steps` for this mode and top."""
         got = memo.get(mask)
         if got is None:
             image = _left_mask if mode == "induction" else _right_mask
@@ -303,13 +315,15 @@ def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: st
 def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One induction step: left image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "left")
-    return ElementSet(algebra.size, closures._step("induction", top, subset.mask))
+    memo = closures._steps["induction", top]
+    return ElementSet(algebra.size, closures._step(memo, "induction", top, subset.mask))
 
 
 def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One deduction step: right image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "right")
-    return ElementSet(algebra.size, closures._step("deduction", top, subset.mask))
+    memo = closures._steps["deduction", top]
+    return ElementSet(algebra.size, closures._step(memo, "deduction", top, subset.mask))
 
 
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
@@ -339,12 +353,13 @@ def iterate(
     if max_steps < 0:
         raise ValueOutOfRange(f"max_steps {max_steps} is negative")
     closures = _closures_for(algebra, top, subset, "left" if mode == "induction" else "right")
+    memo = closures._steps[mode, top]
     mask = subset.mask
     chain = [subset]
     steps: int | None = None
     base = 0
     for _ in range(max_steps):
-        nxt = closures._step(mode, top, mask, base)
+        nxt = closures._step(memo, mode, top, mask, base)
         chain.append(ElementSet(n, nxt))
         if nxt == mask:
             steps = len(chain) - 2

@@ -16,8 +16,8 @@ from .errors import CarrierTooLarge, ValueOutOfRange
 
 def subsets_in_order(size: int, nonempty: bool = True) -> Iterator[ElementSet]:
     """All subsets, the empty one only if not `nonempty`, ordered by
-    cardinality, ties broken by numeric bitmask."""
-    for mask in sorted(range(int(nonempty), 1 << size), key=lambda m: (m.bit_count(), m)):
+    cardinality, ties broken by numeric bitmask: the sort is stable."""
+    for mask in sorted(range(int(nonempty), 1 << size), key=int.bit_count):
         yield ElementSet(size, mask)
 
 

@@ -416,6 +416,30 @@ class TestOverlongIntegers:
             2, "", f"error: {flag}: an integer of 5000 digits is too large\n"
         )
 
+    INT_FLAGS = [
+        (("verify", "--suite", "rank0", "--limit"), "--limit"),
+        (("chain", "--primes", "2", "--depth"), "--depth"),
+        (("ind", "z4-monoid", "--set", "1", "--steps"), "--steps"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=["verify", "chain", "ind"])
+    @pytest.mark.parametrize("value, reason", [
+        (LONG, "an integer of 5000 digits is too large"),
+        ("-" + LONG, "an integer of 5000 digits is too large"),
+        ("x", "invalid int value: 'x'"),
+        ("12x", "invalid int value: '12x'"),
+    ], ids=["long", "signed-long", "word", "digits-then-word"])
+    def test_integer_flags_in_a_fresh_process(self, files, argv, flag, value, reason):
+        # argparse echoes a value its type refuses; an overlong numeral is
+        # refused by its digit count instead, any other value as argparse does
+        argv = [files.get(arg, arg) for arg in argv] + [value]
+        proc = subprocess.run([sys.executable, "-m", "finalg", *argv], capture_output=True,
+                              text=True, env=_fresh_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"usage: finalg {argv[0]} ")
+        assert proc.stderr.endswith(f": error: argument {flag}: {reason}\n")
+        assert len(proc.stderr) < 400
+
     def test_the_longest_numeral_int_reads_is_accepted(self, files, capsys):
         code, out, _ = run(capsys, "ind", files["z4-monoid"], "--set", "0" * 4299 + "1",
                          "--steps", "0")

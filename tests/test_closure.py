@@ -82,6 +82,11 @@ def kept_induced(closures, top, mask):
     return BinRel(n, closures._rows_of(seed))
 
 
+def step(closures, mode, top, mask, base=0):
+    """One step as `iterate` takes it, through the memo of this mode and top."""
+    return closures._step(closures._steps[mode, top], mode, top, mask, base)
+
+
 def sample_entries():
     wanted = {"z4-monoid", "bool-semiring", "z3-group", "z4-ring", "pointed-3", "sat2-monoid"}
     return [e for e in build_catalog(4) if e.name in wanted]
@@ -199,17 +204,17 @@ class TestClosuresCache:
                 for base in (0, target, target & rng.randrange(full + 1)):
                     closures = Closures(alg)
                     kept_induced(closures, top, base)
-                    closures._step("induction", top, target, base)  # grows R_target
+                    step(closures, "induction", top, target, base)  # grows R_target
                     got = kept_induced(closures, top, target)
                     assert got == induced(alg, top, target), (entry.name, target, base)
 
     def test_base_not_kept_or_not_inside(self):
         alg = by_name("z4-ring")
         closures = Closures(alg)
-        closures._step("deduction", 0, 0b0110, 0b0011)
+        step(closures, "deduction", 0, 0b0110, 0b0011)
         assert kept_induced(closures, 0, 0b0110) == induced(alg, 0, 0b0110)
         kept_induced(closures, 0, 0b1000)
-        closures._step("deduction", 0, 0b0101, 0b1000)
+        step(closures, "deduction", 0, 0b0101, 0b1000)
         assert kept_induced(closures, 0, 0b0101) == induced(alg, 0, 0b0101)
 
     def test_kept_subseed_holding_the_missing_pair_is_reused(self, monkeypatch):
@@ -386,8 +391,8 @@ class TestClosuresCache:
         for mask in range(16):
             rel = induced(alg, alg.top, mask)
             subset = ElementSet(4, mask)
-            assert closures._step("induction", alg.top, mask) == left_image(rel, subset).mask
-            assert closures._step("deduction", alg.top, mask) == \
+            assert step(closures, "induction", alg.top, mask) == left_image(rel, subset).mask
+            assert step(closures, "deduction", alg.top, mask) == \
                 right_image(rel, subset).mask
 
     def test_step_seeds_are_the_pairs_with_top(self):
@@ -405,7 +410,7 @@ class TestClosuresCache:
                 closures._rows_of = lambda seed, base: calls.append((seed, base)) or diagonal
                 bases = [rng.getrandbits(n) for _ in masks]
                 for mask, base in zip(masks, bases):
-                    closures._step("induction", top, mask, base)
+                    step(closures, "induction", top, mask, base)
                 assert calls == [tuple(sum(1 << (x * n + top) for x in range(n) if m >> x & 1)
                                        for m in pair) for pair in zip(masks, bases)], (n, top)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finalg import ElementSet, algebra_rank, build_catalog, make_algebra, subsets_in_order
+from finalg.catalog import saturating_monoid
 from finalg.errors import CarrierTooLarge, ValueOutOfRange
 from references import rank_by_iteration
 
@@ -96,6 +97,19 @@ class TestAlgebraRank:
     def test_describe_plain_rank(self):
         assert algebra_rank(by_name("pointed-3"), 0, "induction").describe() == "0"
 
+    # deduction on sat<k>-monoid, min(a + b, k): the rank and its witness by k
+    SAT_DEDUCTION = {k: (1, {1}) for k in range(1, 5)} | {5: (2, {3, 4})} \
+        | {k: (3, {3, 5}) for k in range(6, 9)} | {k: (4, {5, 8}) for k in range(9, 13)}
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_saturating_monoid_ranks(self, k):
+        # on sat1-monoid, ({0, 1}, or), every set is inductively closed
+        alg = saturating_monoid(k).algebra
+        induction = algebra_rank(alg, alg.top, "induction")
+        assert (induction.rank, set(induction.witness)) == ((1, {1}) if k > 1 else (0, {0}))
+        deduction = algebra_rank(alg, alg.top, "deduction")
+        assert (deduction.rank, set(deduction.witness)) == self.SAT_DEDUCTION[k]
+
     def test_carrier_too_large(self):
         alg = make_algebra([("point", 0)], 17, {"point": [0]}, top=0)
         with pytest.raises(CarrierTooLarge):
@@ -144,3 +158,11 @@ def test_memoised_rank_equals_rank_by_iteration_on_the_catalog():
                 assert got == rank_by_iteration(alg, alg.top, mode, max_n), (entry.name, mode)
                 seen.add(got.describe())
     assert {"exceeded 0", "exceeded 1", "exceeded 2", "3"} <= seen
+
+
+def test_memoised_rank_equals_rank_by_iteration_at_rank_four():
+    # sat9-monoid is the first catalog entry whose deduction rank is 4
+    alg = saturating_monoid(9).algebra
+    got = algebra_rank(alg, alg.top, "deduction")
+    assert got.rank == 4
+    assert got == rank_by_iteration(alg, alg.top, "deduction")

@@ -31,6 +31,7 @@ from finalg import (
     suites,
 )
 from finalg.errors import InvalidPrimeList, UnknownSuite
+from finalg.catalog import cyclic_ring, saturating_monoid
 
 PASSING_SUITES = (
     "theorem-a",
@@ -254,6 +255,19 @@ class TestKernelRuns:
         monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         assert algebra_rank(alg, alg.top, mode).rank == 1
         assert len(closes) == 7
+
+    @pytest.mark.parametrize("builder, rank, runs", [
+        (saturating_monoid, 4, 186), (cyclic_ring, 1, 21),
+    ], ids=["sat12-monoid", "z12-ring"])
+    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, monkeypatch):
+        # pins the candidate order on carriers past z8-ring: a seed runs the
+        # kernel only when no kept candidate holds its pairs
+        alg = builder(12).algebra
+        closes = []
+        close = closure._close
+        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
+        assert algebra_rank(alg, alg.top, "deduction").rank == rank
+        assert len(closes) == runs
 
 
 class TestTheoremBSuite:
