@@ -4,7 +4,6 @@ from .algebra import (
     ElementSet,
     FiniteAlgebra,
     Signature,
-    enumerate_term_images,
     generate_subalgebra,
     make_algebra,
     product_square,

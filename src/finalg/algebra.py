@@ -1,4 +1,4 @@
-"""Finite algebras: signatures, carriers, operation tables, term enumeration.
+"""Finite algebras: signatures, carriers, operation tables, term images.
 
 Carriers are {0, ..., size-1}. Every operation is a total lookup table stored
 flat in row-major order, leftmost argument varying slowest. Arity-0 symbols
@@ -7,7 +7,6 @@ are constants with a one-entry table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -272,28 +271,23 @@ def generate_subalgebra(algebra: FiniteAlgebra, seed: ElementSet) -> ElementSet:
     return ElementSet.of(n, current)
 
 
-def enumerate_term_images(
-    algebra: FiniteAlgebra, generators: ElementSet, max_depth: int | None = None
-) -> ElementSet:
-    """Values of all terms of depth <= max_depth, variables ranging over
-    `generators`; with max_depth None, until one more level adds nothing.
-    Depth 0 covers variables and constants; one operation application adds
-    one to the deepest argument. Naive by design, as the reference the
-    closure engine is checked against: each depth evaluates every argument
-    tuple of the whole pool."""
+def stabilized_term_images(algebra: FiniteAlgebra, generators: ElementSet) -> ElementSet:
+    """Values of all terms whose variables range over `generators`, level by
+    level until one more level adds nothing. Level 0 holds the variables and
+    constants; each level applies every operation to the level before. Naive
+    by design, as the reference the closure engine is checked against: each
+    level evaluates every argument tuple of the whole pool. It stays public
+    under this name: `perfbench/spans.py` wraps it, and `Tracer.install`
+    fails without it."""
     if generators.size != algebra.size:
         raise SizeMismatch("generator set over a different carrier")
-    if max_depth is not None and max_depth < 0:
-        raise ValueOutOfRange("max_depth must be non-negative")
     base = set(generators) | set(algebra.constants())
     images = set(base)
     nonconst = [(arity, table) for _, arity, table in algebra.ops() if arity > 0]
     n = algebra.size
-    for _ in count() if max_depth is None else range(max_depth):
+    while images:  # no variable and no constant: no term at all
         nxt = set(base)
         pool = list(images)
-        if not pool:  # no variable and no constant: no term at all
-            break
         # the last coordinate of every tuple, read off one table row; the
         # repeated first index keeps a tuple when the pool has one element
         pick = itemgetter(*pool, pool[0])
@@ -307,9 +301,3 @@ def enumerate_term_images(
             break
         images = nxt
     return ElementSet.of(n, images)
-
-
-def stabilized_term_images(algebra: FiniteAlgebra, generators: ElementSet) -> ElementSet:
-    """Term images at the first depth where one more level adds nothing. It stays
-    public: `perfbench/spans.py` wraps it by name, and `Tracer.install` fails without it."""
-    return enumerate_term_images(algebra, generators)

@@ -200,8 +200,20 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     return parse_algebra_file(text).algebra
 
 
+def _check_name(what: str, name: str) -> None:
+    """Refuse a name the parser would not read back as that one name: an
+    empty one, a keyword, or one holding whitespace."""
+    if name in _KEYWORDS or name.split() != [name]:
+        raise ValueOutOfRange(
+            f"cannot render {what} {name!r}: a name must be one word and not a keyword")
+
+
 def render_algebra(name: str, algebra: FiniteAlgebra) -> str:
-    """Canonical text form: one table row per line, constants as const lines."""
+    """Canonical text form: one table row per line, constants as const lines.
+    Every name is checked before any text is built."""
+    _check_name("algebra name", name)
+    for op_name, arity, _ in algebra.ops():
+        _check_name("constant name" if arity == 0 else "operation name", op_name)
     n = algebra.size
     lines = [f"algebra {name}", f"size {n}"]
     for op_name, arity, table in algebra.ops():

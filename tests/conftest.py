@@ -1,9 +1,10 @@
 """Shared test configuration.
 
 Registers a deterministic hypothesis profile, starts every test on a cold
-catalog, offers a ten-second time limit, and keeps an acceptance-line
-recorder: the acceptance tests each record one PASS/FAIL line, and all
-recorded lines are printed in a dedicated block at the end of the pytest run.
+catalog, offers a ten-second time limit and a record of the kernel's runs,
+and keeps an acceptance-line recorder: the acceptance tests each record one
+PASS/FAIL line, and all recorded lines are printed in a dedicated block at
+the end of the pytest run.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import signal
 import pytest
 from hypothesis import HealthCheck, settings
 
-from finalg import catalog
+from finalg import catalog, closure
 
 settings.register_profile(
     "deterministic",
@@ -48,6 +49,21 @@ def ten_seconds():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The `base` of every run of the relation-closure kernel
+    (`closure._close`) during the test, in call order."""
+    runs = []
+    close = closure._close
+
+    def spy(closures, rows, base):
+        runs.append(base)
+        return close(closures, rows, base)
+
+    monkeypatch.setattr(closure, "_close", spy)
+    return runs
 
 
 @pytest.fixture

@@ -1,11 +1,78 @@
-"""Reference implementations of the memoised closure engine, kept as the
-engine computed them before its relation cache: every relation generated
-afresh by the kernel, every subset iterated on its own."""
+"""The test modules' shared references and builders, each defined once here.
+
+The references recompute what the memoised closure engine computes the way
+it did before its relation cache: every relation generated afresh by the
+kernel, every subset iterated on its own. The builders give the catalog
+lookup, the tabled and random algebras, the square seed and the Hypothesis
+strategy of algebras with a top element."""
 from __future__ import annotations
 
-from finalg import BinRel, ClosureReport, ElementSet, RankResult, subsets_in_order
+import random
+from itertools import product
+
+from hypothesis import strategies as st
+
+from finalg import (
+    BinRel,
+    ClosureReport,
+    ElementSet,
+    FiniteAlgebra,
+    RankResult,
+    build_catalog,
+    make_algebra,
+    subsets_in_order,
+)
 from finalg.closure import Closures, _close
 from finalg.relations import left_image, right_image
+
+
+def by_name(name: str) -> FiniteAlgebra:
+    """The algebra of the catalog entry of that name, up to six elements."""
+    for entry in build_catalog(6):
+        if entry.name == name:
+            return entry.algebra
+    raise LookupError(name)
+
+
+def tabled(n: int, ops) -> FiniteAlgebra:
+    """The algebra on {0..n-1} whose ops are given as (name, arity, function)."""
+    return make_algebra(
+        [(name, arity) for name, arity, _ in ops],
+        n,
+        {name: [fn(*args) for args in product(range(n), repeat=arity)]
+         for name, arity, fn in ops},
+    )
+
+
+def random_algebra(rng: random.Random, n: int, arities, sparse: bool = False) -> FiniteAlgebra:
+    """Ops f0, f1, ... of the given arities with random tables, drawn entry by
+    entry in signature order; sparse ones send three entries in four to 0, so
+    that few pairs are derivable and each from few argument tuples."""
+
+    def entry() -> int:
+        return 0 if sparse and rng.random() < 0.75 else rng.randrange(n)
+
+    ops = [(f"f{i}", arity) for i, arity in enumerate(arities)]
+    return make_algebra(ops, n, {name: [entry() for _ in range(n**a)] for name, a in ops})
+
+
+def square_seed(n: int, pairs) -> ElementSet:
+    """Δ ∪ P as a subset of the square's carrier, pair (a, b) at a * n + b."""
+    return BinRel.from_pairs(n, list(pairs)).union(BinRel.diagonal(n)).support()
+
+
+@st.composite
+def algebras_with_top(draw):
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = {}
+    for i, k in enumerate(arities):
+        # values below a drawn bound: the fewer values an op takes, the
+        # smaller the relations and the longer the chains to a fixpoint
+        hi = draw(st.integers(0, n - 1))
+        tables[f"f{i}"] = draw(st.lists(st.integers(0, hi), min_size=n**k, max_size=n**k))
+    alg = make_algebra([(f"f{i}", k) for i, k in enumerate(arities)], n, tables)
+    return alg, draw(st.integers(0, n - 1))
 
 
 def generated(alg, pairs):

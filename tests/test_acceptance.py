@@ -23,6 +23,7 @@ from finalg import (
     stabilized_term_images,
     subsets_in_order,
 )
+from references import square_seed
 
 
 def test_criterion_01_normality_equivalence(acceptance):
@@ -46,15 +47,10 @@ def _coverage_by_term_enumeration(entry):
     alg, top = entry.algebra, entry.algebra.top
     n = alg.size
     square = product_square(alg)
-    diagonal = sum(1 << (a * n + a) for a in range(n))
     top_sub = stabilized_term_images(alg, ElementSet.of(n, (top,)))
     for subset in subsets_in_order(n):
-        mask = diagonal
-        for x in subset:
-            mask |= 1 << (x * n + top)
-        rel = BinRel.from_support(
-            stabilized_term_images(square, ElementSet(n * n, mask)), n
-        )
+        seed = square_seed(n, [(x, top) for x in subset])
+        rel = BinRel.from_support(stabilized_term_images(square, seed), n)
         sg = stabilized_term_images(alg, subset)
         yield subset, top_sub, sg, left_image(rel, subset)
 

@@ -12,7 +12,6 @@ from finalg import (
     ElementSet,
     Signature,
     build_catalog,
-    enumerate_term_images,
     generate_subalgebra,
     make_algebra,
     product_square,
@@ -26,30 +25,16 @@ from finalg.errors import (
     UnknownSymbol,
     ValueOutOfRange,
 )
+from references import by_name, random_algebra
 
 
-def z_monoid(n: int):
-    return make_algebra(
-        Signature.of(("add", 2), ("zero", 0)),
-        n,
-        {"add": [(a + b) % n for a in range(n) for b in range(n)], "zero": [0]},
-        top=0,
-    )
-
-
-def random_algebra(rng: random.Random, n: int, arities):
-    """Ops f0, f1, ... of the given arities with uniformly random tables."""
-    ops = [(f"f{i}", arity) for i, arity in enumerate(arities)]
-    return make_algebra(ops, n, {name: [rng.randrange(n) for _ in range(n**a)] for name, a in ops})
-
-
-def per_tuple_term_images(alg, generators, max_depth):
+def per_tuple_term_images(alg, generators):
     """Term images one argument tuple at a time: each tuple of the pool, every
-    op of positive arity, the table index multiplied out coordinate by coordinate."""
+    op of positive arity, the table index multiplied out coordinate by
+    coordinate, until one more level adds nothing."""
     base = set(generators) | set(alg.constants())
     images = set(base)
-    depth = 0
-    while max_depth is None or depth < max_depth:
+    while True:
         nxt = set(base)
         for _, arity, table in alg.ops():
             if arity == 0:
@@ -60,10 +45,8 @@ def per_tuple_term_images(alg, generators, max_depth):
                     idx = idx * alg.size + a
                 nxt.add(table[idx])
         if nxt == images:
-            break
+            return images
         images = nxt
-        depth += 1
-    return images
 
 
 class TestSignature:
@@ -140,7 +123,7 @@ class TestElementSet:
 
 class TestMakeAlgebra:
     def test_trivial_monoid(self):
-        alg = z_monoid(1)
+        alg = by_name("z1-monoid")
         assert alg.size == 1
         assert alg.apply("add", 0, 0) == 0
         assert alg.constants() == (0,)
@@ -184,7 +167,7 @@ class TestMakeAlgebra:
             make_algebra([("f", 1)], 0, {"f": []})
 
     def test_apply_validates(self):
-        alg = z_monoid(3)
+        alg = by_name("z3-monoid")
         assert alg.apply("add", 2, 2) == 1
         with pytest.raises(ArityMismatch):
             alg.apply("add", 1)
@@ -196,17 +179,17 @@ class TestMakeAlgebra:
 
 class TestProductSquare:
     def test_one_element(self):
-        sq = product_square(z_monoid(1))
+        sq = product_square(by_name("z1-monoid"))
         assert sq.size == 1
 
     def test_componentwise_addition_z2(self):
         # encoded pairs: (1,0) = 2, (1,1) = 3; (1,0)+(1,1) = (0,1) = 1
-        sq = product_square(z_monoid(2))
+        sq = product_square(by_name("z2-monoid"))
         assert sq.size == 4
         assert sq.apply("add", 2, 3) == 1
 
     def test_constants_act_diagonally(self):
-        sq = product_square(z_monoid(3))
+        sq = product_square(by_name("z3-monoid"))
         assert sq.constants() == (0,)  # (0,0) encoded as 0*3+0
 
     def test_top_encodes_diagonally(self):
@@ -245,14 +228,14 @@ class TestProductSquare:
 
 class TestGenerateSubalgebra:
     def test_z4_frozen_values(self):
-        alg = z_monoid(4)
+        alg = by_name("z4-monoid")
         assert set(generate_subalgebra(alg, ElementSet.of(4, [1]))) == {0, 1, 2, 3}
         assert set(generate_subalgebra(alg, ElementSet.empty(4))) == {0}
         assert set(generate_subalgebra(alg, ElementSet.of(4, [2]))) == {0, 2}
 
     def test_seed_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            generate_subalgebra(z_monoid(4), ElementSet.of(3, [1]))
+            generate_subalgebra(by_name("z4-monoid"), ElementSet.of(3, [1]))
 
     def test_idempotent_and_monotone_on_catalog(self):
         for entry in build_catalog(4):
@@ -272,7 +255,8 @@ class TestGenerateSubalgebra:
                         break
 
     def test_high_arity_fallback(self):
-        # 4-ary parity operation exercises the generic worklist branch
+        # a 4-ary parity operation, past the arities of the catalog's ops: the
+        # worklist's one loop serves every arity
         table = [
             (a + b + c + d) % 2
             for a in range(2)
@@ -286,32 +270,9 @@ class TestGenerateSubalgebra:
 
 
 class TestTermEnumeration:
-    def test_depth_zero_is_generators_plus_constants(self):
-        alg = z_monoid(4)
-        assert set(enumerate_term_images(alg, ElementSet.of(4, [1]), 0)) == {0, 1}
-
-    def test_depth_two_reaches_everything_in_z4(self):
-        alg = z_monoid(4)
-        assert set(enumerate_term_images(alg, ElementSet.of(4, [1]), 2)) == {0, 1, 2, 3}
-
-    def test_full_carrier_depth_zero(self):
-        alg = z_monoid(4)
-        assert enumerate_term_images(alg, ElementSet.full(4), 0) == ElementSet.full(4)
-
-    def test_negative_depth(self):
-        with pytest.raises(ValueOutOfRange):
-            enumerate_term_images(z_monoid(2), ElementSet.empty(2), -1)
-
     def test_generators_over_another_carrier(self):
         with pytest.raises(SizeMismatch, match=r"^generator set over a different carrier$"):
-            enumerate_term_images(z_monoid(4), ElementSet.of(3, [1]))
-
-    def test_monotone_in_depth(self):
-        alg = z_monoid(4)
-        gen = ElementSet.of(4, [3])
-        images = [enumerate_term_images(alg, gen, d) for d in range(5)]
-        for shallow, deep in zip(images, images[1:]):
-            assert shallow.issubset(deep)
+            stabilized_term_images(by_name("z4-monoid"), ElementSet.of(3, [1]))
 
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_per_tuple_evaluation(self, seed):
@@ -324,28 +285,26 @@ class TestTermEnumeration:
         alg = random_algebra(rng, n, arities)
         for mask in range(1 << n):
             gens = ElementSet(n, mask)
-            for depth in (0, 1, 2, 3, 4, None):
-                expected = per_tuple_term_images(alg, gens, depth)
-                assert set(enumerate_term_images(alg, gens, depth)) == expected
+            assert set(stabilized_term_images(alg, gens)) == per_tuple_term_images(alg, gens)
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, None])
+    # the one depth, None, is no bound: the images are taken at their fixpoint
+    @pytest.mark.parametrize("depth", [None])
     def test_empty_pool(self, depth):
-        # no generator and no constant: no term, at any depth
+        # no generator and no constant: no term
         alg = make_algebra([("s", 1), ("m", 2)], 3, {"s": [1, 2, 0], "m": [0] * 9})
-        assert enumerate_term_images(alg, ElementSet.empty(3), depth) == ElementSet.empty(3)
+        assert stabilized_term_images(alg, ElementSet.empty(3)) == ElementSet.empty(3)
 
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4, None])
+    @pytest.mark.parametrize("depth", [None])
     def test_one_element_pool(self, depth):
-        # the pool is {0} at depth 1, by one generator or by one constant
+        # the pool is {0} at level 0, by one generator or by one constant,
+        # and the successor climbs from it to the whole carrier
         succ = [1, 2, 3, 0]
-        climb = {1: {0, 1}, 2: {0, 1, 2}, 3: {0, 1, 2, 3}}
-        expected = climb.get(depth, {0, 1, 2, 3})
         unary = make_algebra([("s", 1)], 4, {"s": succ})
-        assert set(enumerate_term_images(unary, ElementSet.of(4, [0]), depth)) == expected
+        assert set(stabilized_term_images(unary, ElementSet.of(4, [0]))) == {0, 1, 2, 3}
         pointed = make_algebra([("s", 1), ("z", 0)], 4, {"s": succ, "z": [0]})
-        assert set(enumerate_term_images(pointed, ElementSet.empty(4), depth)) == expected
+        assert set(stabilized_term_images(pointed, ElementSet.empty(4))) == {0, 1, 2, 3}
         one = make_algebra([("m", 3), ("s", 1)], 1, {"m": [0], "s": [0]})
-        assert set(enumerate_term_images(one, ElementSet.full(1), depth)) == {0}
+        assert set(stabilized_term_images(one, ElementSet.full(1))) == {0}
 
     def test_stabilized_matches_generated_subalgebra_on_catalog(self):
         # the spec-level bridge between term images and worklist closure

@@ -44,15 +44,7 @@ from finalg.catalog import (
 from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
-from references import generated, induced, iterate_afresh
-from test_ranks import algebras_with_top
-
-
-def by_name(name: str):
-    for entry in build_catalog(4):
-        if entry.name == name:
-            return entry.algebra
-    raise LookupError(name)
+from references import algebras_with_top, by_name, generated, induced, iterate_afresh
 
 
 def _top_component(rel, top):
@@ -217,34 +209,27 @@ class TestClosuresCache:
         step(closures, "deduction", 0, 0b0101, 0b1000)
         assert kept_induced(closures, 0, 0b0101) == induced(alg, 0, 0b0101)
 
-    def test_kept_subseed_holding_the_missing_pair_is_reused(self, monkeypatch):
+    def test_kept_subseed_holding_the_missing_pair_is_reused(self, kernel_runs):
         # in z4-monoid the relation of (2,0) holds (0,2), so the seed
         # {(2,0), (0,2)} is that very relation and runs no kernel
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         closures = Closures(by_name("z4-monoid"))
         one = closures._rows_of(1 << 2 * 4 + 0)
-        assert closes == [1]
+        assert len(kernel_runs) == 1
         both = closures._rows_of(1 << 2 * 4 + 0 | 1 << 0 * 4 + 2)
-        assert both is one and closes == [1]
+        assert both is one and len(kernel_runs) == 1
         assert BinRel(4, both) == generated(by_name("z4-monoid"), [(2, 0), (0, 2)])
 
-    def test_iterate_grows_each_stage_from_the_one_before(self, monkeypatch):
+    def test_iterate_grows_each_stage_from_the_one_before(self, kernel_runs):
         # sat5-monoid deduction: {3,4} -> {0,1,3,4} -> {0,1,2,3,4}; no subset
         # of {0,1,3,4} short of one element is kept, so its relation grows
         # from the kept relation of {3,4}, not from the diagonal
-        starts = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close",
-                            lambda *args: starts.append(args[2]) or close(*args))
-        alg = next(e.algebra for e in build_catalog(6) if e.name == "sat5-monoid")
+        alg = by_name("sat5-monoid")
         report = iterate(alg, alg.top, ElementSet.of(6, [3, 4]), "deduction")
         stages = report.distinct_stages()
         assert [sorted(s) for s in stages] == [[3, 4], [0, 1, 3, 4], [0, 1, 2, 3, 4]]
         kept = own(alg)
-        assert kept is not None and len(starts) == 2
-        assert starts[1] is kept_induced(kept, alg.top, stages[0].mask).rows
+        assert kept is not None and len(kernel_runs) == 2
+        assert kernel_runs[1] is kept_induced(kept, alg.top, stages[0].mask).rows
 
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):
@@ -259,26 +244,23 @@ class TestClosuresCache:
                 assert iterate(alg, top, subset, "deduction") == \
                     iterate_afresh(alg, top, subset, "deduction")
 
-    def test_one_kept_closures_per_algebra_object(self, monkeypatch):
+    def test_one_kept_closures_per_algebra_object(self, kernel_runs):
         # a second call on the same algebra object, or a call on another
         # top, shares its Closures and closes nothing new; an equal but
         # distinct object gets its own, and each refusal raises as before
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         alg = by_name("sat3-monoid")
         subset = ElementSet.of(4, [3])
         report = iterate(alg, alg.top, subset, "deduction")
         kept = own(alg)
-        assert kept is not None and closes
+        assert kept is not None and kernel_runs
         assert set(kept._steps["deduction", alg.top]) == {s.mask for s in report.chain}
-        closes.clear()
+        kernel_runs.clear()
         assert iterate(alg, alg.top, subset, "deduction") == report
         for op in (top_induction, top_deduction, clot_closure, is_top_normal):
             op(alg, alg.top, subset)
         for op in (semicongruence_generated, congruence_generated):
             op(alg, [(3, alg.top)])
-        assert own(alg) is kept and not closes
+        assert own(alg) is kept and not kernel_runs
         big = make_algebra([("point", 0)], 65, {"point": [0]}, top=0)
         twin = dataclasses.replace(alg)
         refused = (
@@ -301,14 +283,14 @@ class TestClosuresCache:
             assert own(alg) is kept and own(big) is None
         other_top = (alg.top + 1) % 4
         assert iterate(alg, other_top, subset, "deduction").chain[0] == subset
-        assert own(alg) is kept and closes
+        assert own(alg) is kept and kernel_runs
         assert ("deduction", other_top) in kept._steps
-        closes.clear()
+        kernel_runs.clear()
         assert iterate(twin, alg.top, subset, "deduction") == report
-        assert twin == alg and own(twin) is not kept and closes
-        closes.clear()
+        assert twin == alg and own(twin) is not kept and kernel_runs
+        kernel_runs.clear()
         assert iterate(alg, alg.top, subset, "deduction") == report
-        assert own(alg) is kept and not closes
+        assert own(alg) is kept and not kernel_runs
 
     def test_a_dropped_algebra_is_freed_without_the_collector(self):
         # a Closures holds no reference back to its algebra, so the last

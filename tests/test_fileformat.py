@@ -261,3 +261,22 @@ class TestRendering:
     @given(small_algebras())
     def test_round_trip_random(self, alg):
         assert parse_algebra(render_algebra("t", alg)) == alg
+
+    @pytest.mark.parametrize("name", ["#f", "1", "end1"])
+    def test_unusual_names_round_trip(self, name):
+        alg = make_algebra([(name, 1), (name + "c", 0)], 2, {name: [1, 0], name + "c": [0]})
+        parsed = parse_algebra_file(render_algebra(name, alg))
+        assert (parsed.name, parsed.algebra) == (name, alg)
+
+    @pytest.mark.parametrize("name", ["end", "op", "a b", "", "x\ty", "x\u2028y"],
+                             ids=["end", "op", "space", "empty", "tab", "line-separator"])
+    @pytest.mark.parametrize("where", ["algebra", "operation", "constant"])
+    def test_unreadable_name_is_refused(self, name, where):
+        ops = {"operation": [(name, 1), ("c", 0)], "constant": [("f", 1), (name, 0)]}
+        sig = ops.get(where, [("f", 1), ("c", 0)])
+        alg = make_algebra(sig, 2, {sig[0][0]: [1, 0], sig[1][0]: [0]})
+        title = name if where == "algebra" else "a"
+        with pytest.raises(ValueOutOfRange) as exc:
+            render_algebra(title, alg)
+        assert str(exc.value) == \
+            f"cannot render {where} name {name!r}: a name must be one word and not a keyword"

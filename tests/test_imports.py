@@ -1,5 +1,7 @@
 """The runtime uses only the standard library: every import in the package's
-modules is package-relative or names a standard-library module."""
+modules is package-relative or names a standard-library module. The package
+modules import only the modules their layer allows, and the test modules
+define each shared helper once."""
 from __future__ import annotations
 
 import ast
@@ -96,3 +98,41 @@ def test_suites_walk_the_catalog_once():
     run_suite = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "run_suite")
     assert len(_calls(tree, "build_catalog")) == len(_calls(run_suite, "build_catalog")) == 1
+
+
+def _shared_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each top-level function that more than one module defines, with those
+    modules; tests and pytest fixtures are not helpers."""
+
+    def is_fixture(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return "fixture" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+    owners: dict[str, list[str]] = {}
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("test")
+                    and not any(map(is_fixture, node.decorator_list))):
+                owners.setdefault(node.name, []).append(module)
+    return {name: modules for name, modules in owners.items() if len(modules) > 1}
+
+
+def test_no_two_test_modules_define_one_helper():
+    # a helper the test modules share lives once, in references.py or conftest.py
+    tests = Path(__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in tests.glob("*.py")}
+    assert "references.py" in sources
+    assert _shared_helpers(sources) == {}
+
+
+def test_a_copied_helper_is_caught():
+    module = (
+        "import pytest\n"
+        "def by_name(name):\n    pass\n"
+        "def test_x():\n    pass\n"
+        "@pytest.fixture\ndef runs():\n    return []\n"
+        "@pytest.fixture(autouse=True)\ndef cold():\n    pass\n"
+    )
+    sources = {"a.py": module, "b.py": module}
+    assert _shared_helpers(sources) == {"by_name": ["a.py", "b.py"]}

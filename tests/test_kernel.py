@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from finalg import (
     BinRel,
-    ElementSet,
     generate_subalgebra,
     is_compatible,
     make_algebra,
@@ -34,15 +33,7 @@ from finalg.catalog import cyclic_module, cyclic_ring, cyclic_semiring
 from finalg.algebra import _bits
 from finalg.closure import Closures, _close, _cut, _fold, _lane
 from finalg.errors import SizeOverflow
-
-
-def _square_support(n: int, pairs) -> ElementSet:
-    mask = 0
-    for a in range(n):
-        mask |= 1 << (a * n + a)
-    for a, b in pairs:
-        mask |= 1 << (a * n + b)
-    return ElementSet(n * n, mask)
+from references import random_algebra, square_seed, tabled
 
 
 @st.composite
@@ -89,25 +80,12 @@ def test_equals_term_enumeration_on_the_square(case):
     alg, pairs = case
     n = alg.size
     rel = semicongruence_generated(alg, pairs)
-    enum = stabilized_term_images(product_square(alg), _square_support(n, pairs))
+    enum = stabilized_term_images(product_square(alg), square_seed(n, pairs))
     assert rel == BinRel.from_support(enum, n)
     assert rel.is_reflexive()
     assert is_compatible(alg, rel)
     assert all(pair in rel for pair in pairs)
     _assert_columns_below_square(alg)
-
-
-def _random_algebra(n: int, arities, seed: int, sparse: bool = False):
-    """Random tables; sparse ones send three entries in four to 0, so that few
-    pairs are derivable and each from few argument tuples."""
-    rng = random.Random(f"kernel/{n}/{seed}")
-
-    def entry() -> int:
-        return 0 if sparse and rng.random() < 0.75 else rng.randrange(n)
-
-    sig = [(f"f{i}", k) for i, k in enumerate(arities)]
-    tables = {f"f{i}": [entry() for _ in range(n**k)] for i, k in enumerate(arities)}
-    return make_algebra(sig, n, tables)
 
 
 def _relabelled(n: int, ops, seed: int):
@@ -119,9 +97,11 @@ def _relabelled(n: int, ops, seed: int):
     inv = [0] * n
     for x, y in enumerate(perm):
         inv[y] = x
-    tables = {name: [perm[fn(*(inv[a] for a in args))] for args in iterprod(range(n), repeat=k)]
-              for name, k, fn in ops}
-    return make_algebra([(name, k) for name, k, _ in ops], n, tables)
+
+    def renamed(fn):
+        return lambda *args: perm[fn(*(inv[a] for a in args))]
+
+    return tabled(n, [(name, k, renamed(fn)) for name, k, fn in ops])
 
 
 def _gated_successor(n: int, k: int, p: int):
@@ -142,9 +122,10 @@ def _fixed_cases():
     # Random tables mostly generate the full relation; the sparse and the
     # structured algebras carry proper semicongruences.
     for n in (7, 8, 9, 16, 17):
-        yield f"n{n}-random-unary-binary", _random_algebra(n, (1, 2, 0), n)
-        yield f"n{n}-random-unary", _random_algebra(n, (1, 1), n)
-        yield f"n{n}-sparse-binary", _random_algebra(n, (2,), n, sparse=True)
+        seed = f"kernel/{n}/{n}"
+        yield f"n{n}-random-unary-binary", random_algebra(random.Random(seed), n, (1, 2, 0))
+        yield f"n{n}-random-unary", random_algebra(random.Random(seed), n, (1, 1))
+        yield f"n{n}-sparse-binary", random_algebra(random.Random(seed), n, (2,), sparse=True)
         yield f"z{n}-monoid-double", _relabelled(
             n, [("add", 2, lambda a, b: (a + b) % n), ("dbl", 1, lambda a: 2 * a % n)], n)
         yield f"sat{n - 1}-max", _relabelled(
@@ -153,8 +134,9 @@ def _fixed_cases():
         yield f"z{n}-right-successor", _relabelled(
             n, [("succ", 2, lambda a, b: (b + 1) % n)], n)
     for n in (7, 8, 9):
-        yield f"n{n}-random-unary-ternary", _random_algebra(n, (1, 3), n)
-        yield f"n{n}-sparse-ternary", _random_algebra(n, (3,), n, sparse=True)
+        seed = f"kernel/{n}/{n}"
+        yield f"n{n}-random-unary-ternary", random_algebra(random.Random(seed), n, (1, 3))
+        yield f"n{n}-sparse-ternary", random_algebra(random.Random(seed), n, (3,), sparse=True)
         if n < 9:  # z9-ring below carries the same op
             yield f"z{n}-maltsev", _relabelled(
                 n, [("mal", 3, lambda a, b, c: (a - b + c) % n), ("neg", 1, lambda a: -a % n)], n)
@@ -175,7 +157,7 @@ def test_equals_worklist_closure_on_the_square(alg):
     n = alg.size
     square = product_square(alg)
     for pairs in ([], [(n - 1, 0)], [(1, 0), (3, n - 2)], [(2, 5), (n - 1, 6), (0, 8 % n)]):
-        expected = generate_subalgebra(square, _square_support(n, pairs))
+        expected = generate_subalgebra(square, square_seed(n, pairs))
         assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
 
 
@@ -185,8 +167,9 @@ def _quaternary_cases():
     for n in (2, 3):
         for p in range(4):
             yield f"n{n}-gated-successor-{p}", _gated_successor(n, 4, p)
-        yield f"n{n}-random-quaternary-unary", _random_algebra(n, (4, 1), n)
-        yield f"n{n}-sparse-quaternary", _random_algebra(n, (4,), n, sparse=True)
+        seed = f"kernel/{n}/{n}"
+        yield f"n{n}-random-quaternary-unary", random_algebra(random.Random(seed), n, (4, 1))
+        yield f"n{n}-sparse-quaternary", random_algebra(random.Random(seed), n, (4,), sparse=True)
 
 
 QUATERNARY = list(_quaternary_cases())
@@ -198,7 +181,7 @@ def test_quaternary_ops_equal_term_enumeration_on_the_square(alg):
     n = alg.size
     square = product_square(alg)
     for pairs in [[pair] for pair in iterprod(range(n), repeat=2)] + [[(1, 0), (0, n - 1)]]:
-        enum = stabilized_term_images(square, _square_support(n, pairs))
+        enum = stabilized_term_images(square, square_seed(n, pairs))
         assert semicongruence_generated(alg, pairs) == BinRel.from_support(enum, n), pairs
 
 
@@ -208,7 +191,7 @@ def test_gated_middle_successor_from_every_pair():
     alg = _gated_successor(n, 3, 1)
     square = product_square(alg)
     for pair in iterprod(range(n), repeat=2):
-        expected = generate_subalgebra(square, _square_support(n, [pair]))
+        expected = generate_subalgebra(square, square_seed(n, [pair]))
         assert semicongruence_generated(alg, [pair]) == BinRel.from_support(expected, n), pair
 
 
@@ -221,7 +204,7 @@ def test_unary_successor_at_the_carrier_limit(succ):
     alg = make_algebra([("succ", 1)], n, {"succ": [succ(a) for a in range(n)]})
     square = product_square(alg)
     for pairs in ([(1, 0)], [(n - 1, 0)], [(0, 9), (40, 17)]):
-        expected = generate_subalgebra(square, _square_support(n, pairs))
+        expected = generate_subalgebra(square, square_seed(n, pairs))
         assert semicongruence_generated(alg, pairs) == BinRel.from_support(expected, n), pairs
 
 
@@ -260,11 +243,11 @@ def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
     element = st.integers(0, n - 1)
     more = data.draw(st.lists(st.tuples(element, element), max_size=3))
     square = product_square(alg)
-    base = BinRel.from_support(generate_subalgebra(square, _square_support(n, pairs)), n).rows
+    base = BinRel.from_support(generate_subalgebra(square, square_seed(n, pairs)), n).rows
     rows = list(base)
     for a, b in more:
         rows[a] |= 1 << b
-    expected = generate_subalgebra(square, _square_support(n, pairs + more))
+    expected = generate_subalgebra(square, square_seed(n, pairs + more))
     assert BinRel(n, _close(Closures(alg), rows, base)) == BinRel.from_support(expected, n)
 
 

@@ -39,31 +39,15 @@ from finalg.errors import (
     ValueOutOfRange,
 )
 from finalg.oracles import _is_prime, _nat_ded_step, is_ideal
-
-
-def by_name(name: str):
-    for entry in build_catalog(6):
-        if entry.name == name:
-            return entry
-    raise LookupError(name)
-
-
-def tabled(n: int, ops):
-    """The algebra on {0..n-1} whose ops are given as (name, arity, function)."""
-    return make_algebra(
-        [(name, arity) for name, arity, _ in ops],
-        n,
-        {name: [fn(*args) for args in iterprod(range(n), repeat=arity)]
-         for name, arity, fn in ops},
-    )
+from references import by_name, tabled
 
 
 def bool_view():
-    return SemiringView(by_name("bool-semiring").algebra)
+    return SemiringView(by_name("bool-semiring"))
 
 
 def z4_view():
-    return SemiringView(by_name("z4-semiring").algebra)
+    return SemiringView(by_name("z4-semiring"))
 
 
 class TestSemiringView:
@@ -191,8 +175,8 @@ class TestSemiringFormulas:
         # ideal but not subtractive: {0,1} in the boolean semiring is everything,
         # so use min-plus where {inf} alone is the zero ideal
         mp = by_name("minplus2-semiring")
-        view = SemiringView(mp.algebra)
-        whole = ElementSet.full(mp.algebra.size)
+        view = SemiringView(mp)
+        whole = ElementSet.full(mp.size)
         assert is_subtractive_ideal(view, whole)
 
     @pytest.mark.parametrize("predicate", [is_ideal, is_subtractive_ideal])
@@ -252,25 +236,25 @@ class TestTruncatedNaturals:
 
 class TestMonoidOracles:
     def test_subsemigroup_generated(self):
-        z3 = by_name("z3-monoid").algebra
-        z4 = by_name("z4-monoid").algebra
+        z3 = by_name("z3-monoid")
+        z4 = by_name("z4-monoid")
         assert not subsemigroup_generated(z3, ElementSet.empty(3))
         assert set(subsemigroup_generated(z3, ElementSet.of(3, [1]))) == {0, 1, 2}
         assert set(subsemigroup_generated(z4, ElementSet.of(4, [2]))) == {0, 2}
 
     def test_subsemigroup_need_not_contain_identity(self):
-        sat = by_name("sat3-monoid").algebra
+        sat = by_name("sat3-monoid")
         assert set(subsemigroup_generated(sat, ElementSet.of(4, [3]))) == {3}
 
     def test_subset_over_another_carrier(self):
-        z4 = by_name("z4-monoid").algebra
+        z4 = by_name("z4-monoid")
         for oracle in (subsemigroup_generated, subtractive_closure_submonoid):
             with pytest.raises(SizeMismatch, match=r"^subset over a different carrier$"):
                 oracle(z4, ElementSet.of(3, [1]))
 
     def test_subtractive_closure(self):
-        z4 = by_name("z4-monoid").algebra
-        sat3 = by_name("sat3-monoid").algebra
+        z4 = by_name("z4-monoid")
+        sat3 = by_name("sat3-monoid")
         assert subtractive_closure_submonoid(z4, ElementSet.full(4)) == ElementSet.full(4)
         assert set(subtractive_closure_submonoid(z4, ElementSet.of(4, [0, 2]))) == {0, 2}
         assert set(subtractive_closure_submonoid(sat3, ElementSet.of(4, [0, 3]))) == {
@@ -280,8 +264,8 @@ class TestMonoidOracles:
 
 class TestTermConditionCheckers:
     def test_maltsev(self):
-        entry = by_name("z4-group")
-        assert check_maltsev_term(entry.algebra, "mal")
+        z4 = by_name("z4-group")
+        assert check_maltsev_term(z4, "mal")
         # three-way join in the boolean semiring fails the cancellation identity
         alg = make_algebra(
             [("p", 3)],
@@ -292,7 +276,7 @@ class TestTermConditionCheckers:
         one = make_algebra([("p", 3)], 1, {"p": [0]})
         assert check_maltsev_term(one, "p")
         with pytest.raises(ArityMismatch):
-            check_maltsev_term(entry.algebra, "add")
+            check_maltsev_term(z4, "add")
 
     def test_maltsev_needs_both_identities(self):
         # the first projection meets p(x, y, y) = x and fails only p(x, x, y) = y
@@ -300,12 +284,12 @@ class TestTermConditionCheckers:
         assert not check_maltsev_term(first, "p")
 
     def test_subtractive(self):
-        entry = by_name("z4-group")
-        assert check_subtractive_term(entry.algebra, "sub", 0)
-        bool_alg = by_name("bool-semiring").algebra
+        z4 = by_name("z4-group")
+        assert check_subtractive_term(z4, "sub", 0)
+        bool_alg = by_name("bool-semiring")
         assert not check_subtractive_term(bool_alg, "add", 0)
         with pytest.raises(ArityMismatch):
-            check_subtractive_term(entry.algebra, "mal", 0)
+            check_subtractive_term(z4, "mal", 0)
 
     def test_subtractive_needs_both_identities(self):
         # the constant 0 meets s(x, x) = 0 and fails only s(x, 0) = x
@@ -315,20 +299,20 @@ class TestTermConditionCheckers:
     def test_subtraction_derived_from_maltsev(self):
         # s(x, y) = p(x, y, 0) satisfies the subtraction identities whenever p
         # passes the Mal'tsev check
-        entry = by_name("z4-group")
-        mal = entry.algebra.table("mal")
-        n = entry.algebra.size
+        z4 = by_name("z4-group")
+        mal = z4.table("mal")
+        n = z4.size
         derived = [mal[(x * n + y) * n + 0] for x in range(n) for y in range(n)]
         alg = make_algebra([("s", 2)], n, {"s": derived})
         assert check_subtractive_term(alg, "s", 0)
 
     def test_jonsson_tarski(self):
-        assert check_jonsson_tarski_term(by_name("z4-monoid").algebra, "add", 0)
-        assert not check_jonsson_tarski_term(by_name("z4-ring").algebra, "mul", 0)
+        assert check_jonsson_tarski_term(by_name("z4-monoid"), "add", 0)
+        assert not check_jonsson_tarski_term(by_name("z4-ring"), "mul", 0)
         one = make_algebra([("u", 2)], 1, {"u": [0]})
         assert check_jonsson_tarski_term(one, "u", 0)
         with pytest.raises(ArityMismatch):
-            check_jonsson_tarski_term(by_name("z4-group").algebra, "neg", 0)
+            check_jonsson_tarski_term(by_name("z4-group"), "neg", 0)
 
     @pytest.mark.parametrize("check, arity, fn, zero", [
         (check_maltsev_term, 3, lambda x, y, z: z, ()),
@@ -346,7 +330,7 @@ class TestTermConditionCheckers:
     @pytest.mark.parametrize("zero", [4, 7, -1])
     def test_zero_outside_the_carrier(self, check, symbol, zero):
         with pytest.raises(ValueOutOfRange, match=rf"^argument {zero} outside carrier of size 4$"):
-            check(by_name("z4-group").algebra, symbol, zero)
+            check(by_name("z4-group"), symbol, zero)
 
 
 def naive_congruence(algebra, pairs):

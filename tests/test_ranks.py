@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from finalg import ElementSet, algebra_rank, build_catalog, make_algebra, subsets_in_order
 from finalg.catalog import saturating_monoid
 from finalg.errors import CarrierTooLarge, ValueOutOfRange
-from references import rank_by_iteration
-
-
-def by_name(name: str):
-    for entry in build_catalog(4):
-        if entry.name == name:
-            return entry.algebra
-    raise LookupError(name)
+from references import algebras_with_top, by_name, rank_by_iteration
 
 
 class TestSubsetOrder:
@@ -114,20 +107,6 @@ class TestAlgebraRank:
         alg = make_algebra([("point", 0)], 17, {"point": [0]}, top=0)
         with pytest.raises(CarrierTooLarge):
             algebra_rank(alg, 0, "induction")
-
-
-@st.composite
-def algebras_with_top(draw):
-    n = draw(st.integers(1, 5))
-    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    tables = {}
-    for i, k in enumerate(arities):
-        # values below a drawn bound: the fewer values an op takes, the
-        # smaller the relations and the longer the chains to a fixpoint
-        hi = draw(st.integers(0, n - 1))
-        tables[f"f{i}"] = draw(st.lists(st.integers(0, hi), min_size=n**k, max_size=n**k))
-    alg = make_algebra([(f"f{i}", k) for i, k in enumerate(arities)], n, tables)
-    return alg, draw(st.integers(0, n - 1))
 
 
 @settings(max_examples=200)

@@ -32,6 +32,7 @@ from finalg import (
 )
 from finalg.errors import InvalidPrimeList, UnknownSuite
 from finalg.catalog import cyclic_ring, saturating_monoid
+from references import square_seed
 
 PASSING_SUITES = (
     "theorem-a",
@@ -223,51 +224,39 @@ class TestKernelRuns:
     ]
 
     @pytest.mark.parametrize("name, runs", RUNS, ids=[name for name, _ in RUNS])
-    def test_kernel_runs_per_suite(self, name, runs, monkeypatch):
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
+    def test_kernel_runs_per_suite(self, name, runs, kernel_runs):
         run_suite(name)
-        assert len(closes) == runs
+        assert len(kernel_runs) == runs
 
-    def test_kernel_runs_over_every_suite(self, monkeypatch):
+    def test_kernel_runs_over_every_suite(self, kernel_runs):
         # on a cold catalog the 12 suites close 107 distinct relations, each
         # once; a second run of any suite finds every relation kept
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         for name in SUITE_NAMES:
             run_suite(name)
-        assert len(closes) == 107
+        assert len(kernel_runs) == 107
         for name in SUITE_NAMES:
-            closes.clear()
+            kernel_runs.clear()
             run_suite(name)
-            assert not closes, name
+            assert not kernel_runs, name
 
     @pytest.mark.parametrize("mode", ["induction", "deduction"])
-    def test_kernel_runs_per_rank(self, mode, monkeypatch):
+    def test_kernel_runs_per_rank(self, mode, kernel_runs):
         # of z8-ring's 255 nonempty sets only the seven singletons but {top}
         # run the kernel; for every larger set, the kept relation of the set
         # less one element already holds its pairs
         alg = next(e.algebra for e in build_catalog(8) if e.name == "z8-ring")
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         assert algebra_rank(alg, alg.top, mode).rank == 1
-        assert len(closes) == 7
+        assert len(kernel_runs) == 7
 
     @pytest.mark.parametrize("builder, rank, runs", [
         (saturating_monoid, 4, 186), (cyclic_ring, 1, 21),
     ], ids=["sat12-monoid", "z12-ring"])
-    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, monkeypatch):
+    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, kernel_runs):
         # pins the candidate order on carriers past z8-ring: a seed runs the
         # kernel only when no kept candidate holds its pairs
         alg = builder(12).algebra
-        closes = []
-        close = closure._close
-        monkeypatch.setattr(closure, "_close", lambda *args: closes.append(1) or close(*args))
         assert algebra_rank(alg, alg.top, "deduction").rank == rank
-        assert len(closes) == runs
+        assert len(kernel_runs) == runs
 
 
 class TestTheoremBSuite:
@@ -318,9 +307,8 @@ def _theorem_c_violations(limit: int):
 
         def relation(subset):
             if subset.mask not in kept:
-                seed = BinRel.from_pairs(n, [(x, top) for x in subset]).union(BinRel.diagonal(n))
-                kept[subset.mask] = BinRel.from_support(
-                    generate_subalgebra(square, seed.support()), n)
+                seed = square_seed(n, [(x, top) for x in subset])
+                kept[subset.mask] = BinRel.from_support(generate_subalgebra(square, seed), n)
             return kept[subset.mask]
 
         for subset in subsets_in_order(n):
