@@ -4,7 +4,8 @@ distinguished element.
 Every operator below works through the same generated relation: the smallest
 reflexive compatible relation containing I x {top}. Induction takes the left
 image of I, deduction the right image, the clot the left image of {top}, and
-normality compares I against the congruence class of top. Each reads R_I
+normality compares I against the class of top under the congruence R_I
+generates, read as top's connected component in R_I u R_I~. Each reads R_I
 one way, from the algebra object's own `Closures`, which keeps every
 semicongruence of that algebra by its generating pairs.
 """
@@ -144,12 +145,10 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
 def congruence_generated(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
-    """Smallest congruence containing the pairs: `_congruence` of their semicongruence."""
-    return _congruence(semicongruence_generated(algebra, pairs))
-
-
-def _congruence(rel: BinRel) -> BinRel:
-    """Congruence of a semicongruence R: R u R~, reflexive and compatible, squared to transitive."""
+    """Smallest congruence containing the pairs: R u R~ for their
+    semicongruence R, squared until transitive. R is reflexive and
+    compatible, so that transitive closure is compatible too."""
+    rel = semicongruence_generated(algebra, pairs)
     acc = rel.union(opposite(rel))
     while (step := compose(acc, acc)) != acc:
         acc = step
@@ -378,10 +377,21 @@ def is_top_normal(
 ) -> NormalityResult:
     """Whether `subset` is exactly the congruence class of top under the
     congruence generated by subset x {top}. The empty set is never normal:
-    the class of top contains top."""
-    n = algebra.size
+    the class of top contains top.
+
+    The class is top's connected component in R_I u R_I~, grown from {top}
+    by the left and right images of the elements it last gained; no
+    relation is built. Exact: R_I is reflexive and compatible, so the
+    transitive closure of R_I u R_I~ is compatible (an argument tuple moves
+    to another one coordinate at a time, each move a step of R_I or R_I~).
+    It is thus the congruence R_I generates, and it joins exactly the
+    elements that a path in R_I u R_I~ joins."""
     rows = _closures_for(algebra, top, subset, "set")._induced(top, subset.mask)
-    cls = ElementSet(n, _left_mask(_congruence(BinRel(n, rows)).rows, 1 << top))
+    reach = new = 1 << top
+    while new:
+        new = (_left_mask(rows, new) | _right_mask(rows, new)) & ~reach
+        reach |= new
+    cls = ElementSet(algebra.size, reach)
     return NormalityResult(subset == cls, cls)
 
 

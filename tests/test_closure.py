@@ -44,7 +44,14 @@ from finalg.catalog import (
 from finalg.closure import Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
-from references import algebras_with_top, by_name, generated, induced, iterate_afresh
+from references import (
+    algebras_with_top,
+    by_name,
+    generated,
+    induced,
+    iterate_afresh,
+    random_algebra,
+)
 
 
 def _top_component(rel, top):
@@ -58,6 +65,24 @@ def _top_component(rel, top):
                 seen.add(b)
                 todo.append(b)
     return ElementSet.of(n, seen)
+
+
+def unionfind_classes(alg, top):
+    """Per mask of I, in mask order, top's class under the congruence that
+    union-find (`congruence_by_unionfind`) generates from I x {top}. When I
+    lies in the class of J = I less one element, I x {top} and J x {top}
+    generate one congruence (each lies in the other's), so union-find runs
+    only for the sets that no such class holds."""
+    n = alg.size
+    classes = []
+    for mask in range(1 << n):
+        cls = next((c for c in (classes[mask ^ 1 << x] for x in ElementSet(n, mask))
+                    if mask & ~c == 0), None)
+        if cls is None:
+            cong = congruence_by_unionfind(alg, [(x, top) for x in ElementSet(n, mask)])
+            cls = cong.rows[top]
+        classes.append(cls)
+    return classes
 
 
 def own(alg):
@@ -398,13 +423,15 @@ class TestClosuresCache:
 
     def test_clot_and_normality_read_the_step_relation(self, monkeypatch):
         # once top_induction has kept R_S, the clot and normality of S read
-        # it: no generated-relation call, no pair list, no kernel run
+        # it: no generated-relation call, no pair list, no kernel run, and
+        # no relation composed or reversed
         calls = []
 
         def spy(name, inner):
             return lambda *args: calls.append(name) or inner(*args)
 
-        for name in ("semicongruence_generated", "congruence_generated", "_close"):
+        for name in ("semicongruence_generated", "congruence_generated", "_close",
+                     "compose", "opposite"):
             monkeypatch.setattr(closure, name, spy(name, getattr(closure, name)))
         monkeypatch.setattr(BinRel, "from_pairs", spy("from_pairs", BinRel.from_pairs))
         for entry in sample_entries():
@@ -696,6 +723,27 @@ class TestNormality:
     def test_top_singleton_on_pointed_set(self):
         ok, cls = is_top_normal(by_name("pointed-3"), 0, ElementSet.of(3, [0]))
         assert ok and set(cls) == {0}
+
+    def test_class_is_the_unionfind_class_on_the_catalog(self):
+        # top's component in R_I u R_I~ is its union-find class, every set
+        # of every entry up to eight elements
+        for entry in build_catalog(8):
+            alg, top = entry.algebra, entry.algebra.top
+            n = alg.size
+            for mask, cls in enumerate(unionfind_classes(alg, top)):
+                assert is_top_normal(alg, top, ElementSet(n, mask)) == \
+                    (mask == cls, ElementSet(n, cls)), (entry.name, mask)
+
+    def test_class_is_the_unionfind_class_on_random_algebras(self):
+        rng = random.Random("normality")
+        for n in range(1, 7):
+            for sparse in (False, True) * 6:
+                arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+                alg = random_algebra(rng, n, arities, sparse)
+                top = rng.randrange(n)
+                for mask, cls in enumerate(unionfind_classes(alg, top)):
+                    assert is_top_normal(alg, top, ElementSet(n, mask)) == \
+                        (mask == cls, ElementSet(n, cls)), (n, arities, top, mask)
 
     def test_empty_set_is_never_normal(self):
         for entry in sample_entries():

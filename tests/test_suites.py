@@ -67,16 +67,19 @@ class TestSuiteRuns:
         assert run_suite("theorem-c").cases == 2090
         assert run_suite("nat-chain").cases == 9
 
-    @pytest.mark.parametrize("name", ["theorem-a", "theorem-c"])
+    @pytest.mark.parametrize("name", ["theorem-a", "theorem-c", "term-oracle", "maltsev"])
     def test_passing_checks_format_no_set(self, name, monkeypatch):
-        # a check formats its set and both sides only when it fails
+        # a check formats its set and both sides only when it fails, and
+        # lists no relation's pairs for it
         def refuse(self):
             raise AssertionError("a passing check formatted a set")
 
         monkeypatch.setattr(ElementSet, "__str__", refuse)
+        monkeypatch.setattr(BinRel, "pairs", refuse)
         report = run_suite(name)
         assert report.passed
-        assert report.cases == {"theorem-a": 209, "theorem-c": 2090}[name]
+        assert report.cases == {"theorem-a": 209, "theorem-c": 2090, "term-oracle": 720,
+                                "maltsev": 729}[name]
 
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -385,6 +388,46 @@ class TestTheoremCSuite:
                 if closure.power_images(rel, subset, "right")[-1] != ded.final():
                     not_union.add(key)
         assert set(failing) == multi_step == not_union
+
+
+def drop_pair(monkeypatch, name, pairs, dropped):
+    """Make the suites' `semicongruence_generated` leave `dropped` out of the
+    relation it returns for exactly these pairs on the entry of this name."""
+    target = next(e.algebra for e in build_catalog(4) if e.name == name)
+    generated = suites.semicongruence_generated
+
+    def drop(alg, given):
+        rel = generated(alg, given)
+        if alg == target and sorted(given) == pairs:
+            return BinRel.from_pairs(rel.size, [p for p in rel.pairs() if p != dropped])
+        return rel
+
+    monkeypatch.setattr(suites, "semicongruence_generated", drop)
+
+
+class TestFailureLines:
+    """A check whose sides are relations formats them only when it fails;
+    these pin the lines it then prints."""
+
+    def test_term_oracle_lists_both_relations(self, monkeypatch):
+        # z4-ring with I = {0,2} generates congruence mod 2, less (2,0) here
+        drop_pair(monkeypatch, "z4-ring", [(0, 0), (2, 0)], (2, 0))
+        assert run_suite("term-oracle").lines() == [
+            "FAIL term-oracle 720 1",
+            "fail algebra=z4-ring set={0,2} check=semicongruence-equals-term-enumeration "
+            "expected=[(0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)] "
+            "actual=[(0, 0), (0, 2), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]",
+        ]
+
+    def test_maltsev_labels_the_pair_set(self, monkeypatch):
+        # z3-group is simple: (0,1) generates the full relation, less (1,0) here
+        drop_pair(monkeypatch, "z3-group", [(0, 1)], (1, 0))
+        assert run_suite("maltsev").lines() == [
+            "FAIL maltsev 729 1",
+            "fail algebra=z3-group set=(0,1) check=semicongruence-already-congruence "
+            "expected=symmetric and transitive "
+            "actual=[(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]",
+        ]
 
 
 class TestReportFormat:
