@@ -33,6 +33,8 @@ from .relations import (
 )
 
 Mode = Literal["induction", "deduction"]
+# kept principal relations, each with the pairs (a, 1 << b) that generate it
+_Known = Sequence[tuple[tuple[int, ...], list[tuple[int, int]]]]
 
 
 def semicongruence_generated(
@@ -99,11 +101,24 @@ def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
         gained[target] |= mask
 
 
-def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[int, ...]:
+def _reached(known: _Known, rows: list[int], gained: list[int]) -> tuple[int, ...] | None:
+    """The first kept V in `known` one of whose generating pairs, each
+    listed as (a, 1 << b), lies in `rows` or `gained`; None if there is none."""
+    for rel, gens in known:
+        for a, bit in gens:
+            if (rows[a] | gained[a]) & bit:
+                return rel
+    return None
+
+
+def _close(closures: Closures, rows: list[int], base: Sequence[int],
+           known: _Known = ()) -> tuple[int, ...]:
     """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
     kept by `closures`, given that `base`, row by row inside `rows`, is
     already reflexive and compatible: the diagonal, or a kept relation
-    grown on.
+    grown on. `known` lists kept principal relations V = R_(a,b) that hold
+    every pair in `rows`, each with the pairs (a, 1 << b) that generate it;
+    by default none.
 
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
@@ -114,13 +129,21 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
     `_fold` adds their images for all ops of one arity at once, folding
     from the last coordinate, so the small `changed` pool is folded before
     the `everything` pools. The gains are ORed into `rows` in place. The
-    rounds stop when no row gains a bit, or once every row is full.
+    rounds stop when no row gains a bit, or once every row is full. Before
+    the first round and after every fold, the run ends at the first V in
+    `known` one of whose generating pairs the rows or the round's gains
+    hold, and returns that very tuple.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
     in `base`, which is compatible. The full square is reflexive and
-    compatible, so a full relation is closed."""
+    compatible, so a full relation is closed. The rows and the gains lie
+    in R, the closure of `rows`, at every point; so once they hold (a, b),
+    V = R_(a,b) lies in R, and V, closed and holding `rows`, holds R:
+    R = V."""
     n = closures.size
+    if known and (got := _reached(known, rows, [0] * n)) is not None:
+        return got
     fmt = _lane(n)
     everything = range(n)
     full = (1 << n) - 1
@@ -136,6 +159,8 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int]) -> tuple[in
             for i in range(k):
                 pools = [everything] * i + [changed] + [unchanged] * (k - 1 - i)
                 _fold(table, columns, pools, row_bits, gained, fmt)
+                if known and (got := _reached(known, rows, gained)) is not None:
+                    return got
         changed = [a for a in everything if gained[a] & ~rows[a]]
         for a in changed:
             rows[a] |= gained[a]
@@ -188,7 +213,10 @@ class Closures:
     induction and deduction step of every set and top asked for. The seed
     is the support of the generating pairs, pair (a, b) at bit a * n + b;
     every per-set operator reads R_I, the entry for I x {top}, by `_induced`.
-    One rule (`_rows_of`) reads a missing entry off a kept one or grows it.
+    One rule (`_rows_of`) reads a missing entry off a kept one or grows it,
+    and a growth ends early at a kept principal relation R_(a,b) that holds
+    the seed once it derives (a, b), keeping that relation's tuple: equal
+    relations reached that way share one tuple.
 
     Each algebra object owns one, made by the first call of this module's
     functions on it (`_closures`) and kept for exactly the object's
@@ -197,9 +225,11 @@ class Closures:
     holds the carrier size and the op tables, never the algebra, so a
     dropped algebra frees its relations by reference counting. An algebra
     kept alive keeps them: after a rank, the rank's whole working set
-    (3.3 MB for z14-monoid, whose 16,384 seeds share 20 tuples). Threads
+    (3.0 MB by `tracemalloc` for z14-monoid, whose 16,384 seeds share 4
+    tuples: the seed dict and the step memos, not the rows). Threads
     share it without a lock: a `Closures` only stores values that are the
-    same whoever computes them."""
+    same whoever computes them, and each entry of its principal index is
+    exact: a race can at most index one relation twice."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
@@ -208,6 +238,11 @@ class Closures:
         self.size = n
         self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
+        # each distinct kept R_(a,b): its rows, its support (pair (c, d) at bit
+        # c * n + d) and the pairs (a, 1 << b) that generate it; none without
+        # an op of arity >= 1. It only grows, so threads may read it while
+        # one appends
+        self._principal: list[tuple[tuple[int, ...], int, list[tuple[int, int]]]] = []
         # a mask becomes a seed by joining its bits with this gap (`_induced`)
         self._gap = "0" * (n - 1)
         # one mask -> mask map per (mode, top)
@@ -237,7 +272,17 @@ class Closures:
         The first R_J holding T is R_T (Sg(diagonal + T) is monotone in T),
         kept as that tuple; else the kernel closes the first counted R_J
         plus the pairs of T outside J. R_J of T less (a, b) holds T iff it
-        holds (a, b): one bit test."""
+        holds (a, b): one bit test.
+
+        The kernel is also handed each kept principal relation
+        V = R_(a,b) that holds T, and ends at V, that very tuple, once it
+        derives (a, b): then V lies in R_T, and R_T, the least closed
+        relation holding T, lies in V. The candidates come from
+        `_principal`, one AND of T with V's support per distinct principal
+        relation, so at most n^2 - n tests whatever the number of kept
+        seeds; with no op of arity >= 1 the index stays empty and the
+        lookup is skipped. A single-pair seed the kernel closes enters the
+        index, as a new relation or as one more generator of a kept one."""
         kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
@@ -260,7 +305,19 @@ class Closures:
                 grown = list(start[0])
                 for a, b in start[1]:
                     grown[a] |= 1 << b
-                got = _close(self, grown, start[0])
+                principal = self._principal
+                known = [(rel, gens) for rel, support, gens in principal
+                         if not seed & ~support] if principal else ()
+                got = _close(self, grown, start[0], known)
+                if self._ops and not seed & seed - 1:  # T is one pair (a, b)
+                    a, b = divmod(seed.bit_length() - 1, n)
+                    # a run that ended at a kept V returned V itself
+                    gens = next((listed for rel, _, listed in principal if rel is got), None)
+                    if gens is None:
+                        gens = []
+                        support = sum(row << c * n for c, row in enumerate(got))
+                        principal.append((got, support, gens))
+                    gens.append((a, 1 << b))
         kept[seed] = got
         return got
 

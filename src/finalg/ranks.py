@@ -46,6 +46,10 @@ def algebra_rank(
     `iterate` reads every subset's relations from the algebra's `Closures`:
     each mask is stepped once, and in enumeration order R_T is the kept R of
     T less one element when that holds T, and is grown from one otherwise.
+    A growth of R_T ends at a kept R_{y}, y one element, that holds T as
+    soon as it derives (y, top), since then R_{y} = R_T. So a singleton {x}
+    with the relation of an earlier {y} (z16-ring: x and gcd(x, 16)) stops
+    there and keeps R_{y}'s tuple.
     `iterate` refuses an unknown mode at the first subset, before any step."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(

@@ -9,6 +9,7 @@ the end of the pytest run.
 from __future__ import annotations
 
 import signal
+from typing import NamedTuple, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,16 +52,25 @@ def ten_seconds():
     signal.signal(signal.SIGALRM, previous)
 
 
+class KernelRun(NamedTuple):
+    """One run of the relation-closure kernel: the `base` it grew from, and
+    whether it ended at one of the kept relations it was given."""
+
+    base: Sequence[int]
+    stopped: bool
+
+
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """The `base` of every run of the relation-closure kernel
-    (`closure._close`) during the test, in call order."""
+    """Every run of the relation-closure kernel (`closure._close`) during
+    the test, in call order, as a `KernelRun`."""
     runs = []
     close = closure._close
 
-    def spy(closures, rows, base):
-        runs.append(base)
-        return close(closures, rows, base)
+    def spy(closures, rows, base, known=()):
+        got = close(closures, rows, base, known)
+        runs.append(KernelRun(base, any(got is rel for rel, _ in known)))
+        return got
 
     monkeypatch.setattr(closure, "_close", spy)
     return runs

@@ -28,6 +28,7 @@ from finalg import (
     is_top_normal,
     iterate,
     make_algebra,
+    product_square,
     semicongruence_generated,
     subsets_in_order,
     top_deduction,
@@ -254,7 +255,7 @@ class TestClosuresCache:
         assert [sorted(s) for s in stages] == [[3, 4], [0, 1, 3, 4], [0, 1, 2, 3, 4]]
         kept = own(alg)
         assert kept is not None and len(kernel_runs) == 2
-        assert kernel_runs[1] is kept_induced(kept, alg.top, stages[0].mask).rows
+        assert kernel_runs[1].base is kept_induced(kept, alg.top, stages[0].mask).rows
 
     def test_iterate_through_the_cache_equals_the_reference(self):
         for entry in build_catalog(5):
@@ -528,6 +529,39 @@ class TestClosuresCache:
                 assert (own(other) is kept) == (other is alg)
                 assert single_shots(mask) == expected[mask], (entry.name, mask, other_top)
                 assert own(alg) is kept
+
+
+class TestKeptPrincipalRelations:
+    def test_stops_equal_the_square_closure_on_random_algebras(self, kernel_runs):
+        # one Closures per algebra keeps every single-pair seed first, so
+        # the kernel runs of the two-pair seeds and of the sets I x {top}
+        # meet kept principal relations R_(a,b) holding their pairs; each
+        # relation must be the subalgebra of the square generated by the
+        # diagonal and T. The reference reads Sg(Δ ∪ T) off Sg(Δ ∪ T less p)
+        # when that holds p, and otherwise generates it anew
+        rng = random.Random("principal stops")
+        for n in range(2, 9):
+            for sparse in (False, True) * 3:
+                # ternary ops at n <= 5: the square's ternary table has n^6 entries
+                arities = [rng.randint(0, 3 if n <= 5 else 2) for _ in range(rng.randint(1, 3))]
+                alg = random_algebra(rng, n, arities, sparse)
+                top = rng.randrange(n)
+                square, closures = product_square(alg), Closures(alg)
+                diagonal = sum(1 << a * n + a for a in range(n))
+                expected = {0: diagonal}
+                singles = [1 << code for code in range(n * n)]
+                doubles = [p | q for i, p in enumerate(singles) for q in singles[i + 1:]]
+                sets = [sum(1 << x * n + top for x in ElementSet(n, mask))
+                        for mask in range(1, 1 << n)]
+                for seed in singles + doubles + sets:
+                    ref = next((sub for code in ElementSet(n * n, seed)
+                                if (sub := expected.get(seed ^ 1 << code, 0)) >> code & 1), None)
+                    if ref is None:
+                        ref = generate_subalgebra(square, ElementSet(n * n, diagonal | seed)).mask
+                    expected[seed] = ref
+                    got = BinRel(n, closures._rows_of(seed)).support().mask
+                    assert got == ref, (n, arities, sparse, seed)
+        assert any(run.stopped for run in kernel_runs)
 
 
 class TestCongruence:

@@ -218,7 +218,8 @@ class TestSelection:
 class TestKernelRuns:
     # a seed runs the kernel only when no kept candidate (the seed without
     # one pair, the stage iterate steps on from, the diagonal) already holds
-    # all its pairs; the suite's own checks, its ranks and its
+    # all its pairs; `stopped` counts the runs that end at a kept principal
+    # relation; the suite's own checks, its ranks and its
     # semicongruence_generated calls share the Closures of the entry's
     # algebra, which every later suite on that entry shares too
     RUNS = [
@@ -232,11 +233,13 @@ class TestKernelRuns:
         assert len(kernel_runs) == runs
 
     def test_kernel_runs_over_every_suite(self, kernel_runs):
-        # on a cold catalog the 12 suites close 107 distinct relations, each
-        # once; a second run of any suite finds every relation kept
+        # on a cold catalog the 12 suites close 107 distinct seeds, each
+        # once, and 57 of those runs end at a kept principal relation; a
+        # second run of any suite finds every relation kept
         for name in SUITE_NAMES:
             run_suite(name)
         assert len(kernel_runs) == 107
+        assert sum(run.stopped for run in kernel_runs) == 57
         for name in SUITE_NAMES:
             kernel_runs.clear()
             run_suite(name)
@@ -246,20 +249,38 @@ class TestKernelRuns:
     def test_kernel_runs_per_rank(self, mode, kernel_runs):
         # of z8-ring's 255 nonempty sets only the seven singletons but {top}
         # run the kernel; for every larger set, the kept relation of the set
-        # less one element already holds its pairs
+        # less one element already holds its pairs. Four singletons {x} end
+        # at the kept R of an earlier singleton {y}, y = gcd(x, 8), once
+        # their rows hold (y, top)
         alg = next(e.algebra for e in build_catalog(8) if e.name == "z8-ring")
         assert algebra_rank(alg, alg.top, mode).rank == 1
         assert len(kernel_runs) == 7
+        assert sum(run.stopped for run in kernel_runs) == 4
 
-    @pytest.mark.parametrize("builder, rank, runs", [
-        (saturating_monoid, 4, 186), (cyclic_ring, 1, 21),
+    @pytest.mark.parametrize("builder, rank, runs, stops", [
+        (saturating_monoid, 4, 186, 38), (cyclic_ring, 1, 21, 16),
     ], ids=["sat12-monoid", "z12-ring"])
-    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, kernel_runs):
+    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, stops, kernel_runs):
         # pins the candidate order on carriers past z8-ring: a seed runs the
-        # kernel only when no kept candidate holds its pairs
+        # kernel only when no kept candidate holds its pairs, and a run ends
+        # early once it reaches the generator of a kept principal relation
+        # that holds the seed
         alg = builder(12).algebra
         assert algebra_rank(alg, alg.top, "deduction").rank == rank
         assert len(kernel_runs) == runs
+        assert sum(run.stopped for run in kernel_runs) == stops
+
+    def test_equal_relations_share_one_tuple_after_a_rank(self, kernel_runs):
+        # z16-ring induction keeps 65,536 seeds over 5 distinct relations;
+        # 11 of its 15 kernel runs end at a kept principal relation and
+        # keep that very tuple, so the seeds share 5 tuples, not 16
+        alg = cyclic_ring(16).algebra
+        assert algebra_rank(alg, alg.top, "induction").rank == 1
+        kept = vars(alg)["_closures"]._rows
+        assert len(kept) == 1 << 16
+        assert len({id(rows) for rows in kept.values()}) == len(set(kept.values())) == 5
+        assert len(kernel_runs) == 15
+        assert sum(run.stopped for run in kernel_runs) == 11
 
 
 class TestTheoremBSuite:
