@@ -33,8 +33,8 @@ from .relations import (
 )
 
 Mode = Literal["induction", "deduction"]
-# kept principal relations, each with the pairs (a, 1 << b) that generate it
-_Known = Sequence[tuple[tuple[int, ...], list[tuple[int, int]]]]
+# kept principal relations V = R_(a,b), each as (a, 1 << b, rows of V)
+_Known = Sequence[tuple[int, int, tuple[int, ...]]]
 
 
 def semicongruence_generated(
@@ -102,13 +102,9 @@ def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
 
 
 def _reached(known: _Known, rows: list[int], gained: list[int]) -> tuple[int, ...] | None:
-    """The first kept V in `known` one of whose generating pairs, each
-    listed as (a, 1 << b), lies in `rows` or `gained`; None if there is none."""
-    for rel, gens in known:
-        for a, bit in gens:
-            if (rows[a] | gained[a]) & bit:
-                return rel
-    return None
+    """The first kept V = R_(a,b) in `known`, listed as (a, 1 << b, V),
+    whose pair (a, b) lies in `rows` or `gained`; None if there is none."""
+    return next((rel for a, bit, rel in known if (rows[a] | gained[a]) & bit), None)
 
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int],
@@ -117,8 +113,7 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int],
     kept by `closures`, given that `base`, row by row inside `rows`, is
     already reflexive and compatible: the diagonal, or a kept relation
     grown on. `known` lists kept principal relations V = R_(a,b) that hold
-    every pair in `rows`, each with the pairs (a, 1 << b) that generate it;
-    by default none.
+    every pair in `rows`, each as (a, 1 << b, V); by default none.
 
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
@@ -131,8 +126,8 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int],
     the `everything` pools. The gains are ORed into `rows` in place. The
     rounds stop when no row gains a bit, or once every row is full. Before
     the first round and after every fold, the run ends at the first V in
-    `known` one of whose generating pairs the rows or the round's gains
-    hold, and returns that very tuple.
+    `known` whose pair (a, b) the rows or the round's gains hold, and
+    returns that very tuple.
 
     Exact: a tuple none of whose rows changed since the round that last
     computed it adds nothing new, and in the first round such a tuple lies
@@ -228,8 +223,8 @@ class Closures:
     (3.0 MB by `tracemalloc` for z14-monoid, whose 16,384 seeds share 4
     tuples: the seed dict and the step memos, not the rows). Threads
     share it without a lock: a `Closures` only stores values that are the
-    same whoever computes them, and each entry of its principal index is
-    exact: a race can at most index one relation twice."""
+    same whoever computes them, and each entry of its principal list is
+    exact: a race can at most list one seed twice."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
@@ -238,11 +233,11 @@ class Closures:
         self.size = n
         self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
-        # each distinct kept R_(a,b): its rows, its support (pair (c, d) at bit
-        # c * n + d) and the pairs (a, 1 << b) that generate it; none without
-        # an op of arity >= 1. It only grows, so threads may read it while
-        # one appends
-        self._principal: list[tuple[tuple[int, ...], int, list[tuple[int, int]]]] = []
+        # (a, 1 << b, rows, support) per one-pair seed {(a, b)} the kernel
+        # closed, its support with pair (c, d) at bit c * n + d; none without
+        # an op of arity >= 1. A list that only grows: threads may read it
+        # while one appends
+        self._principal: list[tuple[int, int, tuple[int, ...], int]] = []
         # a mask becomes a seed by joining its bits with this gap (`_induced`)
         self._gap = "0" * (n - 1)
         # one mask -> mask map per (mode, top)
@@ -267,22 +262,23 @@ class Closures:
                      for k, table in stacked.items())
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
-        """Rows of R_T, T = `seed`. Candidates J, in order: T less one pair
-        (each pair), `base`, the diagonal; each counts if kept and inside T.
-        The first R_J holding T is R_T (Sg(diagonal + T) is monotone in T),
-        kept as that tuple; else the kernel closes the first counted R_J
-        plus the pairs of T outside J. R_J of T less (a, b) holds T iff it
-        holds (a, b): one bit test.
+        """Rows of R_T, T = `seed`. Candidates J, in order: each kept T less
+        one pair, then one fallback, `base` if it is kept and inside T, else
+        the diagonal. The first R_J holding T is R_T (Sg(diagonal + T) is
+        monotone in T), kept as that tuple; else the kernel closes the first
+        candidate's R_J plus the pairs of T outside J. R_J of T less (a, b)
+        holds T iff it holds (a, b): one bit test. The diagonal never
+        follows `base`: R_base holds it, so it holds T only if R_base does.
 
         The kernel is also handed each kept principal relation
         V = R_(a,b) that holds T, and ends at V, that very tuple, once it
         derives (a, b): then V lies in R_T, and R_T, the least closed
-        relation holding T, lies in V. The candidates come from
-        `_principal`, one AND of T with V's support per distinct principal
-        relation, so at most n^2 - n tests whatever the number of kept
-        seeds; with no op of arity >= 1 the index stays empty and the
-        lookup is skipped. A single-pair seed the kernel closes enters the
-        index, as a new relation or as one more generator of a kept one."""
+        relation holding T, lies in V. These V come from
+        `_principal`, one AND of T with V's support per one-pair seed the
+        kernel closed, so at most n^2 - n tests whatever the number of kept
+        seeds; with no op of arity >= 1 the list stays empty and the lookup
+        is skipped. Each one-pair seed the kernel closes appends one entry,
+        whose rows are the run's tuple: a kept V if the run ended there."""
         kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
@@ -294,30 +290,23 @@ class Closures:
                     break
                 start = start or (got, [(a, b)])
         else:
-            for sub in (base, 0):
-                if sub & ~seed or (got := kept.get(sub)) is None:
-                    continue
-                pairs = [divmod(code, n) for code in _bits(seed & ~sub)]
-                if all(got[a] >> b & 1 for a, b in pairs):
-                    break
-                start = start or (got, pairs)
-            else:
-                grown = list(start[0])
-                for a, b in start[1]:
+            if base & ~seed or base not in kept:
+                base = 0
+            got = kept[base]
+            pairs = [divmod(code, n) for code in _bits(seed & ~base)]
+            if not all(got[a] >> b & 1 for a, b in pairs):
+                rows, pairs = start or (got, pairs)
+                grown = list(rows)
+                for a, b in pairs:
                     grown[a] |= 1 << b
                 principal = self._principal
-                known = [(rel, gens) for rel, support, gens in principal
+                known = [(a, bit, rel) for a, bit, rel, support in principal
                          if not seed & ~support] if principal else ()
-                got = _close(self, grown, start[0], known)
+                got = _close(self, grown, rows, known)
                 if self._ops and not seed & seed - 1:  # T is one pair (a, b)
                     a, b = divmod(seed.bit_length() - 1, n)
-                    # a run that ended at a kept V returned V itself
-                    gens = next((listed for rel, _, listed in principal if rel is got), None)
-                    if gens is None:
-                        gens = []
-                        support = sum(row << c * n for c, row in enumerate(got))
-                        principal.append((got, support, gens))
-                    gens.append((a, 1 << b))
+                    support = sum(row << c * n for c, row in enumerate(got))
+                    principal.append((a, 1 << b, got, support))
         kept[seed] = got
         return got
 

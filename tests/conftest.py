@@ -53,25 +53,35 @@ def ten_seconds():
 
 
 class KernelRun(NamedTuple):
-    """One run of the relation-closure kernel: the `base` it grew from, and
-    whether it ended at one of the kept relations it was given."""
+    """One run of the relation-closure kernel: the `base` it grew from,
+    whether it ended at one of the kept relations it was given, and how
+    many folds (`closure._fold` calls) it made."""
 
     base: Sequence[int]
     stopped: bool
+    folds: int
 
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """Every run of the relation-closure kernel (`closure._close`) during
-    the test, in call order, as a `KernelRun`."""
-    runs = []
-    close = closure._close
+    the test, in call order, as a `KernelRun`. Each kept relation it was
+    given is the last field of its entry."""
+    runs, folds = [], 0
+    close, fold = closure._close, closure._fold
+
+    def counted(*args):
+        nonlocal folds
+        folds += 1
+        fold(*args)
 
     def spy(closures, rows, base, known=()):
+        before = folds
         got = close(closures, rows, base, known)
-        runs.append(KernelRun(base, any(got is rel for rel, _ in known)))
+        runs.append(KernelRun(base, any(got is entry[-1] for entry in known), folds - before))
         return got
 
+    monkeypatch.setattr(closure, "_fold", counted)
     monkeypatch.setattr(closure, "_close", spy)
     return runs
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from finalg import (
     BinRel,
     ElementSet,
+    algebra_rank,
     build_catalog,
     clot_closure,
     congruence_by_unionfind,
@@ -40,6 +41,7 @@ from finalg.catalog import (
     cyclic_monoid,
     cyclic_ring,
     minplus_semiring,
+    pointed_set,
     saturating_monoid,
 )
 from finalg.closure import Closures, power_images
@@ -372,6 +374,14 @@ class TestClosuresCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not wrong, (errors, wrong[:3])
+        # two threads that close one seed at once may each list it, with
+        # equal rows, so the rows are compared by value
+        for entry in build_catalog(4):
+            if (kept := own(entry.algebra)) is not None:
+                n = kept.size
+                for a, bit, rows, support in kept._principal:
+                    assert rows == kept._rows[bit << a * n], (entry.name, a, bit)
+                    assert support == BinRel(n, rows).support().mask, (entry.name, a, bit)
 
     def test_reimports_keep_at_most_one_closures_alive(self):
         # a process that imports finalg afresh again and again, as a harness
@@ -562,6 +572,27 @@ class TestKeptPrincipalRelations:
                     got = BinRel(n, closures._rows_of(seed)).support().mask
                     assert got == ref, (n, arities, sparse, seed)
         assert any(run.stopped for run in kernel_runs)
+
+    def test_one_entry_per_one_pair_seed_the_kernel_closed(self):
+        # z16-ring induction runs the kernel on the 15 seeds {(x, top)},
+        # x != top, and on no other one-pair seed. Each entry's rows are
+        # the very tuple kept for its seed, with its support; runs that
+        # ended at a kept relation list that tuple again, so the 15 entries
+        # hold 4 tuples. pointed-4 has no op of arity >= 1: no entry
+        alg = cyclic_ring(16).algebra
+        n, top = alg.size, alg.top
+        algebra_rank(alg, top, "induction")
+        kept = own(alg)
+        principal = kept._principal
+        assert sorted((a, bit) for a, bit, _, _ in principal) == \
+            [(x, 1 << top) for x in range(n) if x != top]
+        for a, bit, rows, support in principal:
+            assert rows is kept._rows[bit << a * n], a
+            assert support == BinRel(n, rows).support().mask, a
+        assert len({id(rows) for _, _, rows, _ in principal}) == 4
+        pointed = pointed_set(4).algebra
+        algebra_rank(pointed, pointed.top, "induction")
+        assert own(pointed)._principal == []
 
 
 class TestCongruence:

@@ -219,7 +219,9 @@ class TestKernelRuns:
     # a seed runs the kernel only when no kept candidate (the seed without
     # one pair, the stage iterate steps on from, the diagonal) already holds
     # all its pairs; `stopped` counts the runs that end at a kept principal
-    # relation; the suite's own checks, its ranks and its
+    # relation, and `folds` the kernel's folds, which see what the run
+    # counts cannot: a run that stops later, or not before its first round,
+    # folds more; the suite's own checks, its ranks and its
     # semicongruence_generated calls share the Closures of the entry's
     # algebra, which every later suite on that entry shares too
     RUNS = [
@@ -234,12 +236,14 @@ class TestKernelRuns:
 
     def test_kernel_runs_over_every_suite(self, kernel_runs):
         # on a cold catalog the 12 suites close 107 distinct seeds, each
-        # once, and 57 of those runs end at a kept principal relation; a
-        # second run of any suite finds every relation kept
+        # once, in 264 folds, and 57 of those runs end at a kept principal
+        # relation; a second run of any suite finds every relation kept and
+        # folds nothing
         for name in SUITE_NAMES:
             run_suite(name)
         assert len(kernel_runs) == 107
         assert sum(run.stopped for run in kernel_runs) == 57
+        assert sum(run.folds for run in kernel_runs) == 264
         for name in SUITE_NAMES:
             kernel_runs.clear()
             run_suite(name)
@@ -251,16 +255,18 @@ class TestKernelRuns:
         # run the kernel; for every larger set, the kept relation of the set
         # less one element already holds its pairs. Four singletons {x} end
         # at the kept R of an earlier singleton {y}, y = gcd(x, 8), once
-        # their rows hold (y, top)
+        # their rows hold (y, top); the seven runs fold 41 times
         alg = next(e.algebra for e in build_catalog(8) if e.name == "z8-ring")
         assert algebra_rank(alg, alg.top, mode).rank == 1
         assert len(kernel_runs) == 7
         assert sum(run.stopped for run in kernel_runs) == 4
+        assert sum(run.folds for run in kernel_runs) == 41
 
-    @pytest.mark.parametrize("builder, rank, runs, stops", [
-        (saturating_monoid, 4, 186, 38), (cyclic_ring, 1, 21, 16),
+    @pytest.mark.parametrize("builder, rank, runs, stops, folds", [
+        (saturating_monoid, 4, 186, 38, 792), (cyclic_ring, 1, 21, 16, 83),
     ], ids=["sat12-monoid", "z12-ring"])
-    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, stops, kernel_runs):
+    def test_kernel_runs_per_deduction_rank(self, builder, rank, runs, stops, folds,
+                                            kernel_runs):
         # pins the candidate order on carriers past z8-ring: a seed runs the
         # kernel only when no kept candidate holds its pairs, and a run ends
         # early once it reaches the generator of a kept principal relation
@@ -269,11 +275,13 @@ class TestKernelRuns:
         assert algebra_rank(alg, alg.top, "deduction").rank == rank
         assert len(kernel_runs) == runs
         assert sum(run.stopped for run in kernel_runs) == stops
+        assert sum(run.folds for run in kernel_runs) == folds
 
     def test_equal_relations_share_one_tuple_after_a_rank(self, kernel_runs):
         # z16-ring induction keeps 65,536 seeds over 5 distinct relations;
-        # 11 of its 15 kernel runs end at a kept principal relation and
-        # keep that very tuple, so the seeds share 5 tuples, not 16
+        # its 15 kernel runs fold 65 times, and 11 of them end at a kept
+        # principal relation and keep that very tuple, so the seeds share
+        # 5 tuples, not 16
         alg = cyclic_ring(16).algebra
         assert algebra_rank(alg, alg.top, "induction").rank == 1
         kept = vars(alg)["_closures"]._rows
@@ -281,6 +289,7 @@ class TestKernelRuns:
         assert len({id(rows) for rows in kept.values()}) == len(set(kept.values())) == 5
         assert len(kernel_runs) == 15
         assert sum(run.stopped for run in kernel_runs) == 11
+        assert sum(run.folds for run in kernel_runs) == 65
 
 
 class TestTheoremBSuite:
