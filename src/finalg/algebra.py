@@ -276,27 +276,37 @@ def stabilized_term_images(algebra: FiniteAlgebra, generators: ElementSet) -> El
     level until one more level adds nothing. Level 0 holds the variables and
     constants; each level applies every operation to the level before. Naive
     by design, as the reference the closure engine is checked against: each
-    level evaluates every argument tuple of the whole pool. It stays public
-    under this name: `perfbench/spans.py` wraps it, and `Tracer.install`
-    fails without it."""
+    level evaluates every argument tuple of the whole pool. A unary op's
+    images are one gather of the pool from its table. An op of arity k >= 2
+    reads its last two coordinates by one gather per n x n block: the pair
+    codes a * n + b over pool x pool, built once per level, picked from the
+    block of each prefix in pool^(k-2). It stays public under this name:
+    `perfbench/spans.py` wraps it, and `Tracer.install` fails without it."""
     if generators.size != algebra.size:
         raise SizeMismatch("generator set over a different carrier")
     base = set(generators) | set(algebra.constants())
     images = set(base)
     nonconst = [(arity, table) for _, arity, table in algebra.ops() if arity > 0]
     n = algebra.size
+    block = n * n
+    pair_ops = any(arity >= 2 for arity, _ in nonconst)
     while images:  # no variable and no constant: no term at all
         nxt = set(base)
         pool = list(images)
-        # the last coordinate of every tuple, read off one table row; the
-        # repeated first index keeps a tuple when the pool has one element
+        # the repeated first index keeps a tuple when the pool has one element
         pick = itemgetter(*pool, pool[0])
+        if pair_ops:
+            codes = [a * n + b for a in pool for b in pool]
+            pick_pairs = itemgetter(*codes, codes[0])
         for arity, table in nonconst:
+            if arity == 1:
+                nxt.update(pick(table))
+                continue
             prefixes = [0]
-            for _ in range(arity - 1):
+            for _ in range(arity - 2):
                 prefixes = [o * n + a for o in prefixes for a in pool]
             for o in prefixes:
-                nxt.update(pick(table[o * n : o * n + n]))
+                nxt.update(pick_pairs(table[o * block : o * block + block]))
         if nxt == images:
             break
         images = nxt

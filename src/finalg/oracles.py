@@ -233,9 +233,13 @@ def congruence_by_unionfind(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> BinRel:
     """Congruence generated by the pairs, computed by partition refinement:
-    seed the merges, then merge f(..a..) with f(..b..) for every related
-    (a, b), every position and every context, until stable. Single-position
-    substitution suffices because the partition is transitive."""
+    seed the merges, then, each round, merge f(..a..) with f(..r..) for every
+    element a, its class representative r taken at the start of the round,
+    every position and every context, until stable. Single-position
+    substitution suffices because the partition is transitive. So does
+    relating each a to r alone: for a and b in one class, f(..a..) and
+    f(..b..) both join the class of f(..r..), so the round forces the same
+    merges as one over every related pair (a, b)."""
     n = algebra.size
     uf = _UnionFind(n)
     for a, b in pairs:
@@ -244,9 +248,7 @@ def congruence_by_unionfind(
     changed = True
     while changed:
         changed = False
-        related = [
-            (a, b) for a in range(n) for b in range(a + 1, n) if uf.find(a) == uf.find(b)
-        ]
+        related = [(a, r) for a in range(n) if (r := uf.find(a)) != a]
         for arity, table in tables:
             for a, b in related:
                 for pos in range(arity):

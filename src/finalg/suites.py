@@ -161,7 +161,7 @@ def _suite_clot_idempotent(col: _Collector, entry: CatalogEntry, alg: FiniteAlge
 
 def _suite_term_oracle(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
                        top: int) -> None:
-    # relation closure vs depth-stabilized term enumeration on the square,
+    # relation closure vs term enumeration to its fixpoint on the square,
     # whose seed is the diagonal and I x {top}, pair (a, b) at a * n + b
     n = alg.size
     square = product_square(alg)

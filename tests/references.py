@@ -85,6 +85,47 @@ def generated(alg, pairs):
     return BinRel(alg.size, _close(Closures(alg), rows, diagonal))
 
 
+def congruence_all_pairs(alg, pairs) -> BinRel:
+    """The congruence generated by the pairs by partition refinement over
+    every related pair: each round merges f(..a..) with f(..b..) for every
+    (a, b) in one class at the start of the round, every position and every
+    context, until a round merges nothing."""
+    n = alg.size
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return ra != rb
+
+    def index(args):
+        i = 0
+        for x in args:
+            i = i * n + x
+        return i
+
+    for a, b in pairs:
+        union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        related = [(a, b) for a in range(n) for b in range(a + 1, n) if find(a) == find(b)]
+        for _, arity, table in alg.ops():
+            for a, b in related:
+                for pos in range(arity):
+                    for context in product(range(n), repeat=arity - 1):
+                        left = index(context[:pos] + (a,) + context[pos:])
+                        right = index(context[:pos] + (b,) + context[pos:])
+                        changed |= union(table[left], table[right])
+    return BinRel(n, tuple(sum(1 << b for b in range(n) if find(a) == find(b))
+                           for a in range(n)))
+
+
 def induced(alg, top, mask):
     """R_I, generated from the diagonal by the kernel."""
     return generated(alg, [(x, top) for x in ElementSet(alg.size, mask)])

@@ -16,6 +16,7 @@ from finalg import (
     make_algebra,
     product_square,
     stabilized_term_images,
+    subsets_in_order,
 )
 from finalg.errors import (
     ArityMismatch,
@@ -25,7 +26,7 @@ from finalg.errors import (
     UnknownSymbol,
     ValueOutOfRange,
 )
-from references import by_name, random_algebra
+from references import by_name, random_algebra, square_seed
 
 
 def per_tuple_term_images(alg, generators):
@@ -305,6 +306,23 @@ class TestTermEnumeration:
         assert set(stabilized_term_images(pointed, ElementSet.empty(4))) == {0, 1, 2, 3}
         one = make_algebra([("m", 3), ("s", 1)], 1, {"m": [0], "s": [0]})
         assert set(stabilized_term_images(one, ElementSet.full(1))) == {0}
+
+    def test_matches_per_tuple_evaluation_on_term_oracle_squares(self):
+        # the term-oracle suite's own inputs: the square of every n <= 4
+        # catalog entry, seeded with the diagonal and I x {top} for every I;
+        # ternary ops read their last two coordinates from n x n blocks
+        cases = 0
+        for entry in build_catalog(4):
+            alg = entry.algebra
+            if alg.size > 4:
+                continue
+            square = product_square(alg)
+            for subset in subsets_in_order(alg.size, nonempty=False):
+                seed = square_seed(alg.size, [(x, alg.top) for x in subset])
+                assert set(stabilized_term_images(square, seed)) == \
+                    per_tuple_term_images(square, seed), (entry.name, subset)
+                cases += 1
+        assert cases == 240
 
     def test_stabilized_matches_generated_subalgebra_on_catalog(self):
         # the spec-level bridge between term images and worklist closure

@@ -39,7 +39,7 @@ from finalg.errors import (
     ValueOutOfRange,
 )
 from finalg.oracles import _is_prime, _nat_ded_step, is_ideal
-from references import by_name, tabled
+from references import by_name, congruence_all_pairs, random_algebra, tabled
 
 
 def bool_view():
@@ -376,6 +376,31 @@ class TestUnionFindCongruence:
                 assert congruence_by_unionfind(alg, pairs) == congruence_generated(
                     alg, pairs
                 )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_all_pairs_refinement_on_random_algebras(self, seed):
+        # relating each element to its class representative forces the
+        # same merges as relating every pair of a class
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        alg = random_algebra(rng, n, arities, sparse=seed % 2 == 1)
+        carrier = range(n)
+        seeds = [[(a, b)] for a in carrier for b in carrier]
+        seeds += [[(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2, 3))]
+                  for _ in range(8)]
+        for pairs in seeds:
+            assert congruence_by_unionfind(alg, pairs) == congruence_all_pairs(alg, pairs), pairs
+
+    def test_matches_all_pairs_refinement_on_catalog(self):
+        for entry in build_catalog(6):
+            alg, top = entry.algebra, entry.algebra.top
+            if alg.size > 6:
+                continue
+            for subset in subsets_in_order(alg.size, nonempty=False):
+                pairs = [(x, top) for x in subset]
+                assert congruence_by_unionfind(alg, pairs) == \
+                    congruence_all_pairs(alg, pairs), (entry.name, subset)
 
 
 class TestNatChain:
