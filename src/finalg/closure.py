@@ -33,8 +33,6 @@ from .relations import (
 )
 
 Mode = Literal["induction", "deduction"]
-# kept principal relations V = R_(a,b), each as (a, 1 << b, rows of V)
-_Known = Sequence[tuple[int, int, tuple[int, ...]]]
 
 
 def semicongruence_generated(
@@ -101,19 +99,20 @@ def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
         gained[target] |= mask
 
 
-def _reached(known: _Known, rows: list[int], gained: list[int]) -> tuple[int, ...] | None:
-    """The first kept V = R_(a,b) in `known`, listed as (a, 1 << b, V),
-    whose pair (a, b) lies in `rows` or `gained`; None if there is none."""
-    return next((rel for a, bit, rel in known if (rows[a] | gained[a]) & bit), None)
+def _reached(known: Sequence[tuple[int, int, int, tuple[int, ...]]], rows: list[int],
+             gained: list[int]) -> tuple[int, ...] | None:
+    """The rows of the first entry (a, 1 << b, support, rows of V) in
+    `known` whose pair (a, b) lies in `rows` or `gained`; None if none."""
+    return next((rel for a, bit, _, rel in known if (rows[a] | gained[a]) & bit), None)
 
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int],
-           known: _Known = ()) -> tuple[int, ...]:
+           known: Sequence[tuple[int, int, int, tuple[int, ...]]] = ()) -> tuple[int, ...]:
     """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
     kept by `closures`, given that `base`, row by row inside `rows`, is
     already reflexive and compatible: the diagonal, or a kept relation
     grown on. `known` lists kept principal relations V = R_(a,b) that hold
-    every pair in `rows`, each as (a, 1 << b, V); by default none.
+    every pair in `rows`, as `Closures._principal` entries; by default none.
 
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
@@ -233,11 +232,11 @@ class Closures:
         self.size = n
         self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
-        # (a, 1 << b, rows, support) per one-pair seed {(a, b)} the kernel
+        # (a, 1 << b, support, rows) per one-pair seed {(a, b)} the kernel
         # closed, its support with pair (c, d) at bit c * n + d; none without
         # an op of arity >= 1. A list that only grows: threads may read it
         # while one appends
-        self._principal: list[tuple[int, int, tuple[int, ...], int]] = []
+        self._principal: list[tuple[int, int, int, tuple[int, ...]]] = []
         # a mask becomes a seed by joining its bits with this gap (`_induced`)
         self._gap = "0" * (n - 1)
         # one mask -> mask map per (mode, top)
@@ -276,9 +275,9 @@ class Closures:
         relation holding T, lies in V. These V come from
         `_principal`, one AND of T with V's support per one-pair seed the
         kernel closed, so at most n^2 - n tests whatever the number of kept
-        seeds; with no op of arity >= 1 the list stays empty and the lookup
-        is skipped. Each one-pair seed the kernel closes appends one entry,
-        whose rows are the run's tuple: a kept V if the run ended there."""
+        seeds; with no op of arity >= 1 the list stays empty. Each one-pair
+        seed the kernel closes appends one entry, whose rows are the run's
+        tuple: a kept V if the run ended there."""
         kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
@@ -300,13 +299,11 @@ class Closures:
                 for a, b in pairs:
                     grown[a] |= 1 << b
                 principal = self._principal
-                known = [(a, bit, rel) for a, bit, rel, support in principal
-                         if not seed & ~support] if principal else ()
-                got = _close(self, grown, rows, known)
+                got = _close(self, grown, rows, [v for v in principal if not seed & ~v[2]])
                 if self._ops and not seed & seed - 1:  # T is one pair (a, b)
                     a, b = divmod(seed.bit_length() - 1, n)
                     support = sum(row << c * n for c, row in enumerate(got))
-                    principal.append((a, 1 << b, got, support))
+                    principal.append((a, 1 << b, support, got))
         kept[seed] = got
         return got
 
@@ -319,11 +316,11 @@ class Closures:
             base = int(gap.join(f"{base:b}"), 2) << top
         return self._rows_of(int(gap.join(f"{mask:b}"), 2) << top, base)
 
-    def _step(self, memo: dict[int, int], mode: Mode, top: int, mask: int,
-              base: int = 0) -> int:
+    def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
         """Mask of one induction or deduction step from the set with this
-        mask: the left or right image of I under R_I, kept in `memo`, the
-        entry of `_steps` for this mode and top."""
+        mask: the left or right image of I under R_I, kept in the entry of
+        `_steps` for this mode and top."""
+        memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
             image = _left_mask if mode == "induction" else _right_mask
@@ -360,15 +357,13 @@ def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: st
 def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One induction step: left image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "left")
-    memo = closures._steps["induction", top]
-    return ElementSet(algebra.size, closures._step(memo, "induction", top, subset.mask))
+    return ElementSet(algebra.size, closures._step("induction", top, subset.mask))
 
 
 def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One deduction step: right image of `subset` under its generated relation."""
     closures = _closures_for(algebra, top, subset, "right")
-    memo = closures._steps["deduction", top]
-    return ElementSet(algebra.size, closures._step(memo, "deduction", top, subset.mask))
+    return ElementSet(algebra.size, closures._step("deduction", top, subset.mask))
 
 
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
@@ -398,13 +393,12 @@ def iterate(
     if max_steps < 0:
         raise ValueOutOfRange(f"max_steps {max_steps} is negative")
     closures = _closures_for(algebra, top, subset, "left" if mode == "induction" else "right")
-    memo = closures._steps[mode, top]
     mask = subset.mask
     chain = [subset]
     steps: int | None = None
     base = 0
     for _ in range(max_steps):
-        nxt = closures._step(memo, mode, top, mask, base)
+        nxt = closures._step(mode, top, mask, base)
         chain.append(ElementSet(n, nxt))
         if nxt == mask:
             steps = len(chain) - 2

@@ -59,17 +59,13 @@ def algebra_rank(
         max_n = algebra.size
     if max_n < 0:
         raise ValueOutOfRange(f"max_n {max_n} is negative")
-    best = -1
-    witness: ElementSet | None = None
-    witness_report: ClosureReport | None = None
+    best: ClosureReport | None = None
     for subset in subsets_in_order(algebra.size):
         report = iterate(algebra, top, subset, mode, max_steps=max_n + 1)
         steps = report.steps_to_fixpoint
         if steps is None:
             return RankResult(mode, None, max_n, subset, report)
-        if steps > best:
-            best = steps
-            witness = subset
-            witness_report = report
-    assert witness is not None and witness_report is not None
-    return RankResult(mode, best, max_n, witness, witness_report)
+        if best is None or steps > best.steps_to_fixpoint:
+            best = report
+    assert best is not None
+    return RankResult(mode, best.steps_to_fixpoint, max_n, best.chain[0], best)

@@ -104,7 +104,7 @@ def kept_induced(closures, top, mask):
 
 def step(closures, mode, top, mask, base=0):
     """One step as `iterate` takes it, through the memo of this mode and top."""
-    return closures._step(closures._steps[mode, top], mode, top, mask, base)
+    return closures._step(mode, top, mask, base)
 
 
 def sample_entries():
@@ -379,7 +379,7 @@ class TestClosuresCache:
         for entry in build_catalog(4):
             if (kept := own(entry.algebra)) is not None:
                 n = kept.size
-                for a, bit, rows, support in kept._principal:
+                for a, bit, support, rows in kept._principal:
                     assert rows == kept._rows[bit << a * n], (entry.name, a, bit)
                     assert support == BinRel(n, rows).support().mask, (entry.name, a, bit)
 
@@ -586,10 +586,10 @@ class TestKeptPrincipalRelations:
         principal = kept._principal
         assert sorted((a, bit) for a, bit, _, _ in principal) == \
             [(x, 1 << top) for x in range(n) if x != top]
-        for a, bit, rows, support in principal:
+        for a, bit, support, rows in principal:
             assert rows is kept._rows[bit << a * n], a
             assert support == BinRel(n, rows).support().mask, a
-        assert len({id(rows) for _, _, rows, _ in principal}) == 4
+        assert len({id(rows) for _, _, _, rows in principal}) == 4
         pointed = pointed_set(4).algebra
         algebra_rank(pointed, pointed.top, "induction")
         assert own(pointed)._principal == []

@@ -1,10 +1,11 @@
 """The runtime uses only the standard library: every import in the package's
 modules is package-relative or names a standard-library module. The package
-modules import only the modules their layer allows, and the test modules
-define each shared helper once."""
+modules import only the modules their layer allows, the test modules define
+each shared helper once, and every module-level name of the package is used."""
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -136,3 +137,60 @@ def test_a_copied_helper_is_caught():
     )
     sources = {"a.py": module, "b.py": module}
     assert _shared_helpers(sources) == {"by_name": ["a.py", "b.py"]}
+
+
+def _module_names(source: str) -> list[str]:
+    """The names a module binds at top level by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def _references(source: str) -> set[str]:
+    """The names a module reads, the attributes it names and the names it
+    imports: everything but a binding counts."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def _unreferenced(package: dict[str, str], users: dict[str, str], docs: str) -> list[str]:
+    """Each module-level name of `package`, as "module:name", that nothing
+    references: a private one (one leading underscore) in no module of
+    `package`, a public one in no module of `package` or `users` and in no
+    word of `docs`. Dunder names are neither."""
+    inside = set().union(*map(_references, package.values()))
+    outside = inside.union(*map(_references, users.values()), re.findall(r"\w+", docs))
+    return [f"{module}:{name}" for module, source in sorted(package.items())
+            for name in _module_names(source) if not name.startswith("__")
+            and name not in (inside if name.startswith("_") else outside)]
+
+
+def test_every_module_level_name_is_referenced():
+    root = Path(__file__).parent
+    package = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    users = {path.name: path.read_text(encoding="utf-8") for path in root.glob("*.py")}
+    docs = (root.parent / "README.md").read_text(encoding="utf-8")
+    assert _unreferenced(package, users, docs) == []
+
+
+def test_an_unreferenced_name_is_caught():
+    package = {
+        "a.py": "def _helper():\n    pass\ndef _called():\n    pass\n"
+                "_TABLE: dict = {}\nSHOWN = LOST = _called()\nclass Read:\n    pass\n",
+        "b.py": "from .a import _TABLE\nimport a\na.Read()\n",
+    }
+    users = {"test_a.py": "from a import SHOWN\n"}
+    assert _unreferenced(package, users, "`Read` and `LOST` are documented") == ["a.py:_helper"]
+    assert _unreferenced(package, {}, "") == ["a.py:_helper", "a.py:SHOWN", "a.py:LOST"]
