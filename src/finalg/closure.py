@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from sys import byteorder
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -107,12 +107,12 @@ def _reached(known: Sequence[tuple[int, int, int, tuple[int, ...]]], rows: list[
 
 
 def _close(closures: Closures, rows: list[int], base: Sequence[int],
-           known: Sequence[tuple[int, int, int, tuple[int, ...]]] = ()) -> tuple[int, ...]:
+           known: Sequence[tuple[int, int, int, tuple[int, ...]]]) -> tuple[int, ...]:
     """Close `rows` (rows[a] is the mask of the b with a R b) under the ops
-    kept by `closures`, given that `base`, row by row inside `rows`, is
+    packed by `closures`, given that `base`, row by row inside `rows`, is
     already reflexive and compatible: the diagonal, or a kept relation
     grown on. `known` lists kept principal relations V = R_(a,b) that hold
-    every pair in `rows`, as `Closures._principal` entries; by default none.
+    every pair in `rows`, as `Closures._principal` entries; it may be empty.
 
     A round recomputes, over full rows, every argument tuple one of whose
     rows changed: in the first round the rows that differ from `base`, then
@@ -136,7 +136,7 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int],
     V = R_(a,b) lies in R, and V, closed and holding `rows`, holds R:
     R = V."""
     n = closures.size
-    if known and (got := _reached(known, rows, [0] * n)) is not None:
+    if (got := _reached(known, rows, rows)) is not None:
         return got
     fmt = _lane(n)
     everything = range(n)
@@ -153,7 +153,7 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int],
             for i in range(k):
                 pools = [everything] * i + [changed] + [unchanged] * (k - 1 - i)
                 _fold(table, columns, pools, row_bits, gained, fmt)
-                if known and (got := _reached(known, rows, gained)) is not None:
+                if (got := _reached(known, rows, gained)) is not None:
                     return got
         changed = [a for a in everything if gained[a] & ~rows[a]]
         for a in changed:
@@ -216,21 +216,35 @@ class Closures:
     functions on it (`_closures`) and kept for exactly the object's
     lifetime: every call on that object reads its relations from it,
     whatever the top, and an equal but distinct object has its own. It
-    holds the carrier size and the op tables, never the algebra, so a
-    dropped algebra frees its relations by reference counting. An algebra
-    kept alive keeps them: after a rank, the rank's whole working set
-    (3.0 MB by `tracemalloc` for z14-monoid, whose 16,384 seeds share 4
-    tuples: the seed dict and the step memos, not the rows). Threads
-    share it without a lock: a `Closures` only stores values that are the
-    same whoever computes them, and each entry of its principal list is
-    exact: a race can at most list one seed twice."""
+    holds the carrier size and the op tables, packed for the kernel when
+    it is made, never the algebra, so a dropped algebra frees its
+    relations by reference counting. An algebra kept alive keeps them:
+    after a rank, the rank's whole working set (3.0 MB by `tracemalloc`
+    for z14-monoid, whose 16,384 seeds share 4 tuples: the seed dict and
+    the step memos, not the rows). Threads share it without a lock: a
+    `Closures` only stores values that are the same whoever computes
+    them, and each entry of its principal list is exact: a race can at
+    most list one seed twice."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
         if n * n > DEFAULT_CARRIER_LIMIT:
             raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
         self.size = n
-        self._ops = tuple((k, table) for _, k, table in algebra.ops() if k)
+        fmt = _lane(n)
+        width = array(fmt).itemsize
+        # the n lanes, lane v the mask 1 << v: a table packs by lookup
+        lanes = [(1 << v).to_bytes(width, byteorder) for v in range(n)]
+        stacked: dict[int, list[int]] = {}
+        for _, k, table in algebra.ops():
+            if k:
+                stacked.setdefault(k, []).extend(table)
+        # the kernel's input, per arity k >= 1 in the order the signature
+        # first names it: k, the tables of the ops of arity k concatenated in
+        # signature order, and their n packed columns, lane p of columns[b]
+        # the mask 1 << table[p * n + b]; no entry for arity 0
+        self._tables = tuple((k, tuple(table), _cut(b"".join(map(lanes.__getitem__, table)), n, fmt))
+                             for k, table in stacked.items())
         self._rows: dict[int, tuple[int, ...]] = {0: tuple(1 << a for a in range(n))}
         # (a, 1 << b, support, rows) per one-pair seed {(a, b)} the kernel
         # closed, its support with pair (c, d) at bit c * n + d; none without
@@ -242,37 +256,19 @@ class Closures:
         # one mask -> mask map per (mode, top)
         self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
 
-    @cached_property
-    def _tables(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
-        """Per arity k >= 1, in the order the signature first names it, the
-        kernel's input: k, the tables of the ops of arity k concatenated in
-        signature order, and their n packed columns, lane p of columns[b]
-        the mask 1 << table[p * n + b]; no entry for arity 0. Built on the
-        kernel's first run."""
-        n = self.size
-        fmt = _lane(n)
-        width = array(fmt).itemsize
-        # the n lanes, lane v the mask 1 << v: a table packs by lookup
-        lanes = [(1 << v).to_bytes(width, byteorder) for v in range(n)]
-        stacked: dict[int, list[int]] = {}
-        for k, table in self._ops:
-            stacked.setdefault(k, []).extend(table)
-        return tuple((k, tuple(table), _cut(b"".join(map(lanes.__getitem__, table)), n, fmt))
-                     for k, table in stacked.items())
-
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: each kept T less
         one pair, then one fallback, `base` if it is kept and inside T, else
         the diagonal. The first R_J holding T is R_T (Sg(diagonal + T) is
         monotone in T), kept as that tuple; else the kernel closes the first
-        candidate's R_J plus the pairs of T outside J. R_J of T less (a, b)
-        holds T iff it holds (a, b): one bit test. The diagonal never
-        follows `base`: R_base holds it, so it holds T only if R_base does.
+        candidate's R_J plus the pairs of T. R_J of T less (a, b) holds T iff
+        it holds (a, b): one bit test. The diagonal never follows `base`:
+        R_base holds it, so it holds T only if R_base does.
 
-        The kernel is also handed each kept principal relation
-        V = R_(a,b) that holds T, and ends at V, that very tuple, once it
-        derives (a, b): then V lies in R_T, and R_T, the least closed
-        relation holding T, lies in V. These V come from
+        The kernel is also handed the kept principal relations
+        V = R_(a,b) that hold T, which may be none, and ends at V, that very
+        tuple, once it derives (a, b): then V lies in R_T, and R_T, the
+        least closed relation holding T, lies in V. These V come from
         `_principal`, one AND of T with V's support per one-pair seed the
         kernel closed, so at most n^2 - n tests whatever the number of kept
         seeds; with no op of arity >= 1 the list stays empty. Each one-pair
@@ -284,23 +280,21 @@ class Closures:
         start = None
         for code in _bits(seed):
             if (got := kept.get(seed ^ 1 << code)) is not None:
-                a, b = divmod(code, n)
-                if got[a] >> b & 1:
+                if got[code // n] >> code % n & 1:
                     break
-                start = start or (got, [(a, b)])
+                start = start or got
         else:
             if base & ~seed or base not in kept:
                 base = 0
             got = kept[base]
-            pairs = [divmod(code, n) for code in _bits(seed & ~base)]
-            if not all(got[a] >> b & 1 for a, b in pairs):
-                rows, pairs = start or (got, pairs)
-                grown = list(rows)
-                for a, b in pairs:
-                    grown[a] |= 1 << b
+            full = (1 << n) - 1
+            seed_rows = [seed >> a * n & full for a in range(n)]  # T, row by row
+            if any(row & ~have for row, have in zip(seed_rows, got)):
+                rows = start or got
                 principal = self._principal
-                got = _close(self, grown, rows, [v for v in principal if not seed & ~v[2]])
-                if self._ops and not seed & seed - 1:  # T is one pair (a, b)
+                got = _close(self, [r | row for r, row in zip(rows, seed_rows)], rows,
+                             [v for v in principal if not seed & ~v[2]])
+                if self._tables and not seed & seed - 1:  # T is one pair (a, b)
                     a, b = divmod(seed.bit_length() - 1, n)
                     support = sum(row << c * n for c, row in enumerate(got))
                     principal.append((a, 1 << b, support, got))

@@ -19,6 +19,7 @@ from finalg import catalog, closure
 settings.register_profile(
     "deterministic",
     derandomize=True,
+    deadline=None,
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -75,7 +76,7 @@ def kernel_runs(monkeypatch):
         folds += 1
         fold(*args)
 
-    def spy(closures, rows, base, known=()):
+    def spy(closures, rows, base, known):
         before = folds
         got = close(closures, rows, base, known)
         runs.append(KernelRun(base, any(got is entry[-1] for entry in known), folds - before))

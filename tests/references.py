@@ -82,7 +82,7 @@ def generated(alg, pairs):
     rows = list(diagonal)
     for a, b in pairs:
         rows[a] |= 1 << b
-    return BinRel(alg.size, _close(Closures(alg), rows, diagonal))
+    return BinRel(alg.size, _close(Closures(alg), rows, diagonal, ()))
 
 
 def congruence_all_pairs(alg, pairs) -> BinRel:

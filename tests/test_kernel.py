@@ -248,7 +248,7 @@ def test_growth_from_a_closed_base_equals_the_square_closure(case, data):
     for a, b in more:
         rows[a] |= 1 << b
     expected = generate_subalgebra(square, square_seed(n, pairs + more))
-    assert BinRel(n, _close(Closures(alg), rows, base)) == BinRel.from_support(expected, n)
+    assert BinRel(n, _close(Closures(alg), rows, base, ())) == BinRel.from_support(expected, n)
 
 
 @fixed_algebras
@@ -378,7 +378,7 @@ def test_full_square_after_one_round_ends_the_closure(monkeypatch):
     diagonal = [1 << a for a in range(3)]
     rows = list(diagonal)
     rows[1] |= 1
-    assert _close(Closures(alg), rows, diagonal) == (7, 7, 7)
+    assert _close(Closures(alg), rows, diagonal, ()) == (7, 7, 7)
     assert len(folds) == sum(k for k, _, _ in Closures(alg)._tables)
 
 

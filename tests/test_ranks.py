@@ -92,9 +92,9 @@ class TestAlgebraRank:
 
     # deduction on sat<k>-monoid, min(a + b, k): the rank and its witness by k
     SAT_DEDUCTION = {k: (1, {1}) for k in range(1, 5)} | {5: (2, {3, 4})} \
-        | {k: (3, {3, 5}) for k in range(6, 9)} | {k: (4, {5, 8}) for k in range(9, 13)}
+        | {k: (3, {3, 5}) for k in range(6, 9)} | {k: (4, {5, 8}) for k in range(9, 16)}
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", range(1, 16))
     def test_saturating_monoid_ranks(self, k):
         # on sat1-monoid, ({0, 1}, or), every set is inductively closed
         alg = saturating_monoid(k).algebra
