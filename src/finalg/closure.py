@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from sys import byteorder
@@ -174,10 +173,10 @@ def congruence_generated(
     return acc
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    """Iteration record. When a fixpoint is reached the chain keeps the first
-    repeated stage, so chain[k] == chain[k+1] at k = steps_to_fixpoint;
+class ClosureReport(NamedTuple):
+    """Iteration record, a named tuple (mode, chain, steps_to_fixpoint).
+    When a fixpoint is reached the chain repeats its last stage as the same
+    object, so chain[k] is chain[k+1] at k = steps_to_fixpoint;
     steps_to_fixpoint is None when max_steps ran out first."""
 
     mode: Mode
@@ -221,10 +220,11 @@ class Closures:
     relations by reference counting. An algebra kept alive keeps them:
     after a rank, the rank's whole working set (3.0 MB by `tracemalloc`
     for z14-monoid, whose 16,384 seeds share 4 tuples: the seed dict and
-    the step memos, not the rows). Threads share it without a lock: a
-    `Closures` only stores values that are the same whoever computes
-    them, and each entry of its principal list is exact: a race can at
-    most list one seed twice."""
+    the step memos, not the rows, nor the few stages `iterate` reached).
+    Threads share it without a lock: a `Closures` only stores values that
+    are the same whoever computes them, and each entry of its principal
+    list is exact: a race can at most list one seed twice or build one
+    stage twice."""
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
@@ -255,6 +255,9 @@ class Closures:
         self._gap = "0" * (n - 1)
         # one mask -> mask map per (mode, top)
         self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
+        # one ElementSet per mask `iterate` reached as a later stage: the
+        # chains of every report share them
+        self._stages: dict[int, ElementSet] = {}
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
         """Rows of R_T, T = `seed`. Candidates J, in order: each kept T less
@@ -277,12 +280,15 @@ class Closures:
         kept, n = self._rows, self.size
         if (got := kept.get(seed)) is not None:
             return got
-        start = None
-        for code in _bits(seed):
-            if (got := kept.get(seed ^ 1 << code)) is not None:
+        start, rest = None, seed
+        while rest:  # each pair of T, lowest first
+            low = rest & -rest
+            if (got := kept.get(seed ^ low)) is not None:
+                code = low.bit_length() - 1
                 if got[code // n] >> code % n & 1:
                     break
                 start = start or got
+            rest ^= low
         else:
             if base & ~seed or base not in kept:
                 base = 0
@@ -378,7 +384,10 @@ def iterate(
     current set at every step, until a fixpoint or max_steps (default n + 1).
 
     Both steps are increasing, so each stage's relation may grow from the
-    one before, and every relation and step is kept by the algebra's `Closures`."""
+    one before, and every relation and step is kept by the algebra's `Closures`.
+    So is each later stage, one `ElementSet` per mask that every report's
+    chain shares; at a fixpoint the chain's last entry is the repeated stage
+    itself, the same object, not a new equal one."""
     if mode not in ("induction", "deduction"):
         raise ValueOutOfRange(f"unknown mode {mode!r}; choose 'induction' or 'deduction'")
     n = algebra.size
@@ -391,12 +400,16 @@ def iterate(
     chain = [subset]
     steps: int | None = None
     base = 0
+    stages = closures._stages
     for _ in range(max_steps):
         nxt = closures._step(mode, top, mask, base)
-        chain.append(ElementSet(n, nxt))
         if nxt == mask:
+            chain.append(chain[-1])
             steps = len(chain) - 2
             break
+        if (stage := stages.get(nxt)) is None:
+            stage = stages[nxt] = ElementSet(n, nxt)
+        chain.append(stage)
         base, mask = mask, nxt
     return ClosureReport(mode, tuple(chain), steps)
 

@@ -11,7 +11,7 @@ from typing import Iterator
 
 from .algebra import ENUMERATION_LIMIT, ElementSet, FiniteAlgebra
 from .closure import ClosureReport, Mode, iterate
-from .errors import CarrierTooLarge, ValueOutOfRange
+from .errors import CarrierTooLarge, SizeMismatch, ValueOutOfRange
 
 
 def subsets_in_order(size: int, nonempty: bool = True) -> Iterator[ElementSet]:
@@ -50,11 +50,15 @@ def algebra_rank(
     soon as it derives (y, top), since then R_{y} = R_T. So a singleton {x}
     with the relation of an earlier {y} (z16-ring: x and gcd(x, 16)) stops
     there and keeps R_{y}'s tuple.
-    `iterate` refuses an unknown mode at the first subset, before any step."""
+    `iterate` refuses an unknown mode at the first subset, before any step.
+    A carrier of size 0, which has no nonempty subset, is refused before any
+    work, as `make_algebra` refuses it."""
     if algebra.size > ENUMERATION_LIMIT:
         raise CarrierTooLarge(
             f"carrier size {algebra.size} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
+    if algebra.size < 1:
+        raise SizeMismatch("carrier size must be at least 1")
     if max_n is None:
         max_n = algebra.size
     if max_n < 0:

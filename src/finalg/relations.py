@@ -145,8 +145,10 @@ def _left_mask(rows: tuple[int, ...], targets: int) -> int:
 def _right_mask(rows: tuple[int, ...], sources: int) -> int:
     """Union of the rows of the elements in the mask `sources`."""
     mask = 0
-    for y in _bits(sources):
-        mask |= rows[y]
+    while sources:
+        low = sources & -sources
+        mask |= rows[low.bit_length() - 1]
+        sources ^= low
     return mask
 
 

@@ -44,7 +44,8 @@ from finalg.catalog import (
     pointed_set,
     saturating_monoid,
 )
-from finalg.closure import Closures, power_images
+from finalg import ranks
+from finalg.closure import ClosureReport, Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
 from references import (
@@ -768,6 +769,64 @@ class TestIterate:
                     assert report.steps_to_fixpoint <= alg.size
                     for earlier, later in zip(report.chain, report.chain[1:]):
                         assert earlier.issubset(later)
+
+
+class TestClosureReport:
+    def test_positional_fields(self):
+        # built positionally, as tests/references.py builds it
+        a, b = ElementSet.of(3, [1]), ElementSet.of(3, [0, 1])
+        report = ClosureReport("deduction", (a, b, b), 1)
+        assert ClosureReport._fields == ("mode", "chain", "steps_to_fixpoint")
+        assert (report.mode, report.chain, report.steps_to_fixpoint) == \
+            ("deduction", (a, b, b), 1)
+
+    def test_fields_are_read_only(self):
+        report = iterate(by_name("bool-semiring"), 0, ElementSet.of(2, [1]), "deduction")
+        for name in ClosureReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+
+    def test_methods_at_a_fixpoint(self):
+        first, second = ElementSet.of(2, [1]), ElementSet.of(2, [0, 1])
+        report = iterate(by_name("bool-semiring"), 0, first, "deduction")
+        assert report.chain == (first, second, second)
+        assert report.chain[-1] is report.chain[-2]
+        assert report.distinct_stages() == (first, second)
+        assert report.final() == second
+        assert [report.stage(k) for k in range(5)] == [first, second, second, second, second]
+
+    def test_methods_with_max_steps_exhausted(self):
+        alg = by_name("bool-semiring")
+        first, second = ElementSet.of(2, [1]), ElementSet.of(2, [0, 1])
+        report = iterate(alg, 0, first, "deduction", max_steps=1)
+        assert report.steps_to_fixpoint is None
+        assert report.chain == report.distinct_stages() == (first, second)
+        assert report.final() == second
+        assert (report.stage(0), report.stage(1)) == (first, second)
+        with pytest.raises(ValueOutOfRange, match="^stage 2 not computed and no fixpoint reached$"):
+            report.stage(2)
+
+    @pytest.mark.parametrize("mode", ["induction", "deduction"])
+    def test_rank_reports_repeat_one_stage_object(self, mode, monkeypatch):
+        # every report of the z8-ring rank reaches its fixpoint, and its
+        # chain ends on the repeated stage itself, not a new equal set; the
+        # stages iterate built are one object per mask across all reports
+        reports = []
+
+        def spy(*args, **kwargs):
+            reports.append(iterate(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ranks, "iterate", spy)
+        alg = next(e.algebra for e in build_catalog(8) if e.name == "z8-ring")
+        assert algebra_rank(alg, alg.top, mode).rank == 1
+        assert len(reports) == 255
+        for report in reports:
+            assert report.steps_to_fixpoint is not None
+            assert report.chain[-1] is report.chain[-2]
+        built = [stage for report in reports
+                 for stage in report.chain[1:report.steps_to_fixpoint + 1]]
+        assert built and len({id(stage) for stage in built}) == len({stage.mask for stage in built})
 
 
 class TestNormality:

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finalg import ElementSet, algebra_rank, build_catalog, make_algebra, subsets_in_order
+from finalg import (
+    ElementSet,
+    FiniteAlgebra,
+    Signature,
+    algebra_rank,
+    build_catalog,
+    make_algebra,
+    subsets_in_order,
+)
 from finalg.catalog import saturating_monoid
-from finalg.errors import CarrierTooLarge, ValueOutOfRange
+from finalg.errors import CarrierTooLarge, SizeMismatch, ValueOutOfRange
 from references import algebras_with_top, by_name, rank_by_iteration
 
 
@@ -107,6 +115,16 @@ class TestAlgebraRank:
         alg = make_algebra([("point", 0)], 17, {"point": [0]}, top=0)
         with pytest.raises(CarrierTooLarge):
             algebra_rank(alg, 0, "induction")
+
+    @pytest.mark.parametrize("mode", ["induction", "deduction"])
+    def test_empty_carrier_is_refused(self, mode):
+        # FiniteAlgebra takes size 0 unchecked; the rank refuses it before
+        # any work, whatever max_n, with make_algebra's own text
+        alg = FiniteAlgebra(Signature(()), 0, ())
+        for max_n in (None, 0, -1):
+            with pytest.raises(SizeMismatch, match=r"^carrier size must be at least 1$"):
+                algebra_rank(alg, 0, mode, max_n)
+        assert "_closures" not in vars(alg)
 
 
 @settings(max_examples=200)

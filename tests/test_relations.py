@@ -1,6 +1,8 @@
 """Bit-matrix relation calculus: composition, opposite, images, compatibility."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from finalg import (
     right_image,
 )
 from finalg.errors import SizeMismatch, ValueOutOfRange
+from finalg.relations import _left_mask, _right_mask
 
 
 def relations(max_size: int = 8):
@@ -172,6 +175,29 @@ class TestImages:
         r, s, subset = case
         assert left_image(compose(r, s), subset) == left_image(r, left_image(s, subset))
         assert right_image(compose(r, s), subset) == right_image(s, right_image(r, subset))
+
+
+class TestMaskImages:
+    """`_right_mask` and `_left_mask` against their definitions, on seeded
+    random rows, past the 8-bit lane boundary and up to 64 bits. The order
+    in which `Closures._rows_of` scans a seed's pairs has no test here: the
+    fold pins of `TestKernelRuns` in test_suites.py (41, 792, 83, 65 and
+    264 folds) move when it changes."""
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 63, 64])
+    def test_images_match_their_definitions(self, n):
+        rng = random.Random(f"mask-images/{n}")
+        full = (1 << n) - 1
+        for _ in range(20):
+            rows = tuple(rng.choice((0, full, rng.getrandbits(n))) for _ in range(n))
+            for mask in (0, full, 1, 1 << n - 1, rng.getrandbits(n)):
+                union = 0
+                for y in range(n):
+                    if mask >> y & 1:
+                        union |= rows[y]
+                meets = sum(1 << a for a in range(n) if rows[a] & mask)
+                assert _right_mask(rows, mask) == union
+                assert _left_mask(rows, mask) == meets
 
 
 class TestCompatibility:
