@@ -19,7 +19,7 @@ from sys import byteorder
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .algebra import DEFAULT_CARRIER_LIMIT, ElementSet, FiniteAlgebra, _bits
-from .errors import SizeOverflow, ValueOutOfRange
+from .errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from .relations import (
     BinRel,
     _check_image_carrier,
@@ -54,12 +54,11 @@ def _lane(n: int) -> str:
 
 
 def _cut(raw: bytes, n: int, fmt: str) -> list[int]:
-    """The n columns of `raw`, a matrix of `fmt` lanes in rows of n, by one
-    transpose: lane p of column b is lane b of row p, each column read as
-    one int in the native byte order that `array` writes."""
-    raw = memoryview(raw).cast(fmt, (len(raw) // array(fmt).itemsize // n, n)).tobytes("F")
-    step = len(raw) // n
-    return [int.from_bytes(raw[i:i + step], byteorder) for i in range(0, len(raw), step)]
+    """The n columns of `raw`, a matrix of `fmt` lanes in rows of n: column
+    b is the array's slice from lane b by steps of n, its lane p lane b of
+    row p, read as one int in the native byte order that `array` writes."""
+    lanes = array(fmt, raw)
+    return [int.from_bytes(lanes[b::n], byteorder) for b in range(n)]
 
 
 def _ors(columns: list[int], pool: Sequence[int], row_bits: list[list[int]], size: int) -> bytes:
@@ -81,7 +80,7 @@ def _fold(table: Sequence[int], columns: list[int], pools: list[Sequence[int]],
     The coordinates are folded from the last to the first. Per a in the
     pool, the OR of the columns in row a serves every tuple folded so far;
     joined, these ints are a matrix whose last index is the coordinate
-    before, which `_cut` transposes into its n columns. After the first
+    before, which `_cut` cuts into its n columns. After the first
     coordinate the lanes are the product's tuples in row-major order, each
     tuple once per op."""
     if not all(pools):
@@ -218,9 +217,9 @@ class Closures:
     holds the carrier size and the op tables, packed for the kernel when
     it is made, never the algebra, so a dropped algebra frees its
     relations by reference counting. An algebra kept alive keeps them:
-    after a rank, the rank's whole working set (3.0 MB by `tracemalloc`
+    after a rank, the rank's whole working set (2.5 MB by `tracemalloc`
     for z14-monoid, whose 16,384 seeds share 4 tuples: the seed dict and
-    the step memos, not the rows, nor the few stages `iterate` reached).
+    the step memos, not the rows, nor the stages the steps reached).
     Threads share it without a lock: a `Closures` only stores values that
     are the same whoever computes them, and each entry of its principal
     list is exact: a race can at most list one seed twice or build one
@@ -228,6 +227,8 @@ class Closures:
 
     def __init__(self, algebra: FiniteAlgebra) -> None:
         n = algebra.size
+        if n < 1:
+            raise SizeMismatch("carrier size must be at least 1")
         if n * n > DEFAULT_CARRIER_LIMIT:
             raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
         self.size = n
@@ -253,10 +254,10 @@ class Closures:
         self._principal: list[tuple[int, int, int, tuple[int, ...]]] = []
         # a mask becomes a seed by joining its bits with this gap (`_induced`)
         self._gap = "0" * (n - 1)
-        # one mask -> mask map per (mode, top)
-        self._steps: defaultdict[tuple[Mode, int], dict[int, int]] = defaultdict(dict)
-        # one ElementSet per mask `iterate` reached as a later stage: the
-        # chains of every report share them
+        # one mask -> stage map per (mode, top), each stage kept in `_stages`
+        self._steps: defaultdict[tuple[Mode, int], dict[int, ElementSet]] = defaultdict(dict)
+        # one ElementSet per mask any step reached: every step memo, and so
+        # every report's chain, shares it
         self._stages: dict[int, ElementSet] = {}
 
     def _rows_of(self, seed: int, base: int = 0) -> tuple[int, ...]:
@@ -316,15 +317,18 @@ class Closures:
             base = int(gap.join(f"{base:b}"), 2) << top
         return self._rows_of(int(gap.join(f"{mask:b}"), 2) << top, base)
 
-    def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> int:
-        """Mask of one induction or deduction step from the set with this
-        mask: the left or right image of I under R_I, kept in the entry of
-        `_steps` for this mode and top."""
+    def _step(self, mode: Mode, top: int, mask: int, base: int = 0) -> ElementSet:
+        """One induction or deduction step from the set with this mask, the
+        left or right image of I under R_I: the `ElementSet` that `_stages`
+        keeps for its mask, memoised in `_steps` for this mode and top."""
         memo = self._steps[mode, top]
         got = memo.get(mask)
         if got is None:
             image = _left_mask if mode == "induction" else _right_mask
-            got = memo[mask] = image(self._induced(top, mask, base), mask)
+            nxt = image(self._induced(top, mask, base), mask)
+            if (got := self._stages.get(nxt)) is None:
+                got = self._stages[nxt] = ElementSet(self.size, nxt)
+            memo[mask] = got
         return got
 
 
@@ -356,14 +360,12 @@ def _closures_for(algebra: FiniteAlgebra, top: int, subset: ElementSet, side: st
 
 def top_induction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One induction step: left image of `subset` under its generated relation."""
-    closures = _closures_for(algebra, top, subset, "left")
-    return ElementSet(algebra.size, closures._step("induction", top, subset.mask))
+    return _closures_for(algebra, top, subset, "left")._step("induction", top, subset.mask)
 
 
 def top_deduction(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
     """One deduction step: right image of `subset` under its generated relation."""
-    closures = _closures_for(algebra, top, subset, "right")
-    return ElementSet(algebra.size, closures._step("deduction", top, subset.mask))
+    return _closures_for(algebra, top, subset, "right")._step("deduction", top, subset.mask)
 
 
 def clot_closure(algebra: FiniteAlgebra, top: int, subset: ElementSet) -> ElementSet:
@@ -385,32 +387,28 @@ def iterate(
 
     Both steps are increasing, so each stage's relation may grow from the
     one before, and every relation and step is kept by the algebra's `Closures`.
-    So is each later stage, one `ElementSet` per mask that every report's
-    chain shares; at a fixpoint the chain's last entry is the repeated stage
-    itself, the same object, not a new equal one."""
+    Each later stage is the `ElementSet` that `Closures._step` keeps per
+    mask, which every report's chain shares; at a fixpoint the chain's last
+    entry is the repeated stage itself, the same object, not a new equal one."""
     if mode not in ("induction", "deduction"):
         raise ValueOutOfRange(f"unknown mode {mode!r}; choose 'induction' or 'deduction'")
-    n = algebra.size
     if max_steps is None:
-        max_steps = n + 1
+        max_steps = algebra.size + 1
     if max_steps < 0:
         raise ValueOutOfRange(f"max_steps {max_steps} is negative")
     closures = _closures_for(algebra, top, subset, "left" if mode == "induction" else "right")
-    mask = subset.mask
     chain = [subset]
     steps: int | None = None
     base = 0
-    stages = closures._stages
     for _ in range(max_steps):
-        nxt = closures._step(mode, top, mask, base)
-        if nxt == mask:
-            chain.append(chain[-1])
+        last = chain[-1]
+        stage = closures._step(mode, top, last.mask, base)
+        if stage.mask == last.mask:
+            chain.append(last)
             steps = len(chain) - 2
             break
-        if (stage := stages.get(nxt)) is None:
-            stage = stages[nxt] = ElementSet(n, nxt)
         chain.append(stage)
-        base, mask = mask, nxt
+        base = last.mask
     return ClosureReport(mode, tuple(chain), steps)
 
 

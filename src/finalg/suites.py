@@ -18,7 +18,7 @@ from .algebra import (
     product_square,
     stabilized_term_images,
 )
-from .catalog import CatalogEntry, build_catalog
+from .catalog import build_catalog
 from .closure import (
     clot_closure,
     is_top_normal,
@@ -83,34 +83,37 @@ class SuiteReport:
 
 
 class _Collector:
-    """Counts cases and keeps failures. The set (or its label) and both
-    sides of a check are formatted with `str` only when the check fails."""
+    """Counts cases and keeps failures, each under `algebra`, the name of
+    the algebra the checks are on now, which the caller sets before them.
+    The set (or its label) and both sides of a check are formatted with
+    `str` only when the check fails."""
 
     def __init__(self) -> None:
+        self.algebra = ""
         self.cases = 0
         self.failures: list[SuiteFailure] = []
 
-    def check(self, ok: bool, algebra: str, subset, check: str, expected, actual) -> None:
+    def check(self, ok: bool, subset, check: str, expected, actual) -> None:
         self.cases += 1
         if not ok:
             self.failures.append(
-                SuiteFailure(algebra, str(subset), check, str(expected), str(actual))
+                SuiteFailure(self.algebra, str(subset), check, str(expected), str(actual))
             )
 
-    def equal(self, algebra: str, subset, check: str, expected, actual) -> None:
-        self.check(expected == actual, algebra, subset, check, expected, actual)
+    def equal(self, subset, check: str, expected, actual) -> None:
+        self.check(expected == actual, subset, check, expected, actual)
 
 
-def _suite_theorem_a(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_theorem_a(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     # nonempty set normal iff one induction step and one deduction step fix it
     for subset in subsets_in_order(alg.size):
         fixed = top_induction(alg, top, subset) == subset and \
             top_deduction(alg, top, subset) == subset
         normal = is_top_normal(alg, top, subset).is_normal
-        col.equal(entry.name, subset, "normal-iff-inductive-and-deductive", fixed, normal)
+        col.equal(subset, "normal-iff-inductive-and-deductive", fixed, normal)
 
 
-def _suite_theorem_b(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_theorem_b(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     # claimed equivalence: I covers the subalgebra generated by {top} iff one
     # induction step covers the subalgebra generated by I.  The forward
     # implication holds everywhere; the converse has genuine counterexamples
@@ -120,15 +123,11 @@ def _suite_theorem_b(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, t
     for subset in subsets_in_order(alg.size):
         lhs = top_sub.issubset(subset)
         rhs = generate_subalgebra(alg, subset).issubset(top_induction(alg, top, subset))
-        col.check(
-            lhs == rhs, entry.name, subset,
-            "covers-top-subalgebra-iff-induction-covers-generated",
-            f"set-covers-top-subalgebra={lhs}",
-            f"induction-covers-generated={rhs}",
-        )
+        col.check(lhs == rhs, subset, "covers-top-subalgebra-iff-induction-covers-generated",
+                  f"set-covers-top-subalgebra={lhs}", f"induction-covers-generated={rhs}")
 
 
-def _suite_theorem_c(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_theorem_c(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     # iterated closures sandwiched between relation powers n and 2^n - 1,
     # and the fixpoints equal the unions of all powers
     max_n = 3
@@ -143,24 +142,19 @@ def _suite_theorem_c(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, t
             for n in range(max_n + 1):
                 stage, low, high = report.stage(n), powers[n], powers[2**n - 1]
                 ok = low.issubset(stage) and stage.issubset(high)
-                col.check(ok, entry.name, subset, f"{mode}-sandwich-n{n}",
+                col.check(ok, subset, f"{mode}-sandwich-n{n}",
                           None if ok else f"{low}<=stage<={high}", stage)
-            col.equal(
-                entry.name, subset, f"{mode}-fixpoint-is-union-of-powers",
-                powers[-1], report.final(),
-            )
+            col.equal(subset, f"{mode}-fixpoint-is-union-of-powers", powers[-1], report.final())
 
 
-def _suite_clot_idempotent(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
-                           top: int) -> None:
+def _suite_clot_idempotent(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     for subset in subsets_in_order(alg.size, nonempty=False):
         once = clot_closure(alg, top, subset)
         twice = clot_closure(alg, top, once)
-        col.equal(entry.name, subset, "clot-idempotent", once, twice)
+        col.equal(subset, "clot-idempotent", once, twice)
 
 
-def _suite_term_oracle(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
-                       top: int) -> None:
+def _suite_term_oracle(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     # relation closure vs term enumeration to its fixpoint on the square,
     # whose seed is the diagonal and I x {top}, pair (a, b) at a * n + b
     n = alg.size
@@ -173,46 +167,41 @@ def _suite_term_oracle(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
         enum = BinRel.from_support(stabilized_term_images(square, ElementSet(n * n, seed)), n)
         rel = semicongruence_generated(alg, [(x, top) for x in subset])
         ok = enum == rel
-        col.check(ok, entry.name, subset, "semicongruence-equals-term-enumeration",
+        col.check(ok, subset, "semicongruence-equals-term-enumeration",
                   None if ok else sorted(enum.pairs()), None if ok else sorted(rel.pairs()))
-        col.equal(entry.name, subset, "induction-equals-term-description",
+        col.equal(subset, "induction-equals-term-description",
                   left_image(enum, subset), top_induction(alg, top, subset))
-        col.equal(entry.name, subset, "deduction-equals-term-description",
+        col.equal(subset, "deduction-equals-term-description",
                   right_image(enum, subset), top_deduction(alg, top, subset))
 
 
-def _suite_semiring(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_semiring(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     view = SemiringView(alg)
     for subset in subsets_in_order(alg.size, nonempty=False):
         rel = semicongruence_generated(alg, [(x, top) for x in subset])
         ind = top_induction(alg, top, subset)
         ded = top_deduction(alg, top, subset)
-        col.equal(entry.name, subset, "induction-equals-sum-with-ideal",
+        col.equal(subset, "induction-equals-sum-with-ideal",
                   semiring_ind_oracle(view, subset), ind)
-        col.equal(entry.name, subset, "deduction-equals-ideal-difference",
+        col.equal(subset, "deduction-equals-ideal-difference",
                   semiring_ded_oracle(view, subset), ded)
-        col.equal(entry.name, subset, "induction-idempotent",
-                  ind, top_induction(alg, top, ind))
-        col.equal(entry.name, subset, "deduction-idempotent",
-                  ded, top_deduction(alg, top, ded))
-        col.equal(entry.name, subset, "relation-composition-idempotent",
-                  rel, compose(rel, rel))
+        col.equal(subset, "induction-idempotent", ind, top_induction(alg, top, ind))
+        col.equal(subset, "deduction-idempotent", ded, top_deduction(alg, top, ded))
+        col.equal(subset, "relation-composition-idempotent", rel, compose(rel, rel))
         if subset:
-            col.equal(entry.name, subset, "normal-iff-subtractive-ideal",
+            col.equal(subset, "normal-iff-subtractive-ideal",
                       is_subtractive_ideal(view, subset),
                       is_top_normal(alg, top, subset).is_normal)
 
 
-def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
-                       top: int) -> None:
+def _suite_comm_monoid(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     table = alg.table("add")
     n = alg.size
     for subset in subsets_in_order(n):
         ind = top_induction(alg, top, subset)
-        col.equal(entry.name, subset, "induction-equals-generated-subsemigroup",
+        col.equal(subset, "induction-equals-generated-subsemigroup",
                   subsemigroup_generated(alg, subset), ind)
-        col.equal(entry.name, subset, "induction-idempotent",
-                  ind, top_induction(alg, top, ind))
+        col.equal(subset, "induction-idempotent", ind, top_induction(alg, top, ind))
     zero = alg.table("zero")[0]
     for subset in subsets_in_order(n, nonempty=False):
         # the submonoids: sets that hold zero and are closed under add
@@ -223,9 +212,8 @@ def _suite_comm_monoid(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
             n,
             (x for x in range(n) if any(table[x * n + y] in subset for y in subset)),
         )
-        col.equal(entry.name, subset, "submonoid-deduction-one-step-formula",
-                  one_step, ded)
-        col.equal(entry.name, subset, "deductively-closed-iff-subtractive",
+        col.equal(subset, "submonoid-deduction-one-step-formula", one_step, ded)
+        col.equal(subset, "deductively-closed-iff-subtractive",
                   subtractive_closure_submonoid(alg, subset) == subset,
                   ded.issubset(subset))
 
@@ -237,20 +225,20 @@ def _pair_sets(size: int) -> list[list[tuple[int, int]]]:
     return [list(c) for r in range(most + 1) for c in combinations(codes, r)]
 
 
-def _check_ranks(col: _Collector, name: str, alg: FiniteAlgebra, bound: int) -> None:
+def _check_ranks(col: _Collector, alg: FiniteAlgebra, bound: int) -> None:
     """Check that the algebra's induction and deduction ranks are at most `bound`."""
     for mode in ("induction", "deduction"):
         result = algebra_rank(alg, alg.top, mode)
         col.check(result.rank is not None and result.rank <= bound,
-                  name, result.witness, f"{mode}-rank-at-most-{bound}",
+                  result.witness, f"{mode}-rank-at-most-{bound}",
                   f"<={bound}", result.describe())
 
 
-def _suite_maltsev(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_maltsev(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     verified = check_maltsev_term(alg, "mal")
-    col.check(verified, entry.name, "-", "maltsev-term-verifies", True, verified)
+    col.check(verified, "-", "maltsev-term-verifies", True, verified)
     for subset in subsets_in_order(alg.size, nonempty=False):
-        col.equal(entry.name, subset, "induction-equals-deduction",
+        col.equal(subset, "induction-equals-deduction",
                   top_induction(alg, top, subset), top_deduction(alg, top, subset))
     # an entry's pair sets close to few relations (24 verdicts over every
     # entry for the 603 pair sets at the default limit, 60 for 13,503 at
@@ -261,48 +249,43 @@ def _suite_maltsev(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top
         if (ok := congruent.get(rel.rows)) is None:
             ok = congruent[rel.rows] = rel.is_symmetric() and rel.is_transitive()
         label = None if ok else ("".join(f"({a},{b})" for a, b in pairs) or "()")
-        col.check(ok, entry.name, label, "semicongruence-already-congruence",
+        col.check(ok, label, "semicongruence-already-congruence",
                   "symmetric and transitive", None if ok else sorted(rel.pairs()))
-    _check_ranks(col, entry.name, alg, 1)
+    _check_ranks(col, alg, 1)
 
 
-def _suite_subtractive(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
-                       top: int) -> None:
+def _suite_subtractive(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     verified = check_subtractive_term(alg, "sub", top)
-    col.check(verified, entry.name, "-", "subtractive-term-verifies", True, verified)
-    _check_ranks(col, entry.name, alg, 2)
+    col.check(verified, "-", "subtractive-term-verifies", True, verified)
+    _check_ranks(col, alg, 2)
     for subset in subsets_in_order(alg.size):
         ind_fix = iterate(alg, top, subset, "induction").final()
         ded_fix = iterate(alg, top, subset, "deduction").final()
         clot = clot_closure(alg, top, subset)
-        col.equal(entry.name, subset, "induction-fixpoint-equals-clot", clot, ind_fix)
-        col.equal(entry.name, subset, "deduction-fixpoint-equals-clot", clot, ded_fix)
+        col.equal(subset, "induction-fixpoint-equals-clot", clot, ind_fix)
+        col.equal(subset, "deduction-fixpoint-equals-clot", clot, ded_fix)
 
 
-def _suite_jonsson_tarski(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra,
-                          top: int) -> None:
+def _suite_jonsson_tarski(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     if not check_subtractive_term(alg, "sub", top):
         return
     verified = check_jonsson_tarski_term(alg, "add", top)
-    col.check(verified, entry.name, "-", "jonsson-tarski-term-verifies", True, verified)
-    _check_ranks(col, entry.name, alg, 1)
+    col.check(verified, "-", "jonsson-tarski-term-verifies", True, verified)
+    _check_ranks(col, alg, 1)
 
 
-def _suite_rank0(col: _Collector, entry: CatalogEntry, alg: FiniteAlgebra, top: int) -> None:
+def _suite_rank0(col: _Collector, alg: FiniteAlgebra, top: int) -> None:
     # pointed sets: every non-projection term is constant, induction is the
     # identity, deduction stabilizes after exactly one step
     for subset in subsets_in_order(alg.size, nonempty=False):
-        col.equal(entry.name, subset, "induction-is-identity",
-                  subset, top_induction(alg, top, subset))
+        col.equal(subset, "induction-is-identity", subset, top_induction(alg, top, subset))
         if subset:
-            col.equal(entry.name, subset, "deduction-adds-top",
+            col.equal(subset, "deduction-adds-top",
                       subset.with_element(top), top_deduction(alg, top, subset))
     ind_rank = algebra_rank(alg, top, "induction")
-    col.check(ind_rank.rank == 0, entry.name, ind_rank.witness,
-              "induction-rank-0", 0, ind_rank.describe())
+    col.check(ind_rank.rank == 0, ind_rank.witness, "induction-rank-0", 0, ind_rank.describe())
     ded_rank = algebra_rank(alg, top, "deduction")
-    col.check(ded_rank.rank == 1, entry.name, ded_rank.witness,
-              "deduction-rank-1", 1, ded_rank.describe())
+    col.check(ded_rank.rank == 1, ded_rank.witness, "deduction-rank-1", 1, ded_rank.describe())
 
 
 def _format_nat(stage: frozenset[int]) -> str:
@@ -318,24 +301,24 @@ def _suite_nat_chain(col: _Collector, primes: tuple[int, ...], depth: int) -> No
     stages += stages[-1:] * (min(depth, m) + 1 - len(stages))
     ps = [1] + list(primes)
     seed = stages[0]
-    name = "nat-mult"
-    col.equal(name, _format_nat(seed), "stage-0-is-seed",
+    col.algebra = "nat-mult"
+    col.equal(_format_nat(seed), "stage-0-is-seed",
               _format_nat(frozenset(ps[k] * ps[k + 1] for k in range(m))), _format_nat(seed))
     for k in range(1, min(depth, m - 1) + 1):
         expected = frozenset(ps[: k + 2]) | seed
-        col.equal(name, f"stage-{k}", "stage-matches-closed-form",
+        col.equal(f"stage-{k}", "stage-matches-closed-form",
                   _format_nat(expected), _format_nat(stages[k]))
-        col.check(len(stages[k]) > len(stages[k - 1]), name, f"stage-{k}",
-                  "strict-growth", f">{len(stages[k - 1])} elements",
-                  f"{len(stages[k])} elements")
+        col.check(len(stages[k]) > len(stages[k - 1]), f"stage-{k}", "strict-growth",
+                  f">{len(stages[k - 1])} elements", f"{len(stages[k])} elements")
     if depth >= m:
-        col.equal(name, f"stage-{m}", "stage-stable-after-truncation",
+        col.equal(f"stage-{m}", "stage-stable-after-truncation",
                   _format_nat(stages[m - 1]), _format_nat(stages[m]))
 
 
-# each catalog suite: its checks on one entry, which entries it takes (None:
-# every entry), by kind or by a symbol the signature names, and its default
-# catalog limit
+# each catalog suite: its checks on one entry's algebra and top, under the
+# entry's name that `run_suite` gives the collector, which entries it takes
+# (None: every entry), by kind or by a symbol the signature names, and its
+# default catalog limit
 _SUITES = {
     "theorem-a": (_suite_theorem_a, None, 4),
     "theorem-b": (_suite_theorem_b, None, 4),
@@ -371,6 +354,7 @@ def run_suite(
         fn, takes, default_limit = _SUITES[name]
         for entry in build_catalog(default_limit if limit is None else limit):
             if takes is None or takes(entry):
-                fn(col, entry, entry.algebra, entry.algebra.top)
+                col.algebra = entry.name
+                fn(col, entry.algebra, entry.algebra.top)
     elapsed = time.perf_counter() - start
     return SuiteReport(name, col.cases, tuple(col.failures), elapsed)

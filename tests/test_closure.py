@@ -45,6 +45,7 @@ from finalg.catalog import (
     saturating_monoid,
 )
 from finalg import ranks
+from finalg.algebra import FiniteAlgebra, Signature
 from finalg.closure import ClosureReport, Closures, power_images
 from finalg.errors import SizeMismatch, SizeOverflow, ValueOutOfRange
 from finalg.relations import left_image, right_image
@@ -410,9 +411,8 @@ class TestClosuresCache:
         for mask in range(16):
             rel = induced(alg, alg.top, mask)
             subset = ElementSet(4, mask)
-            assert step(closures, "induction", alg.top, mask) == left_image(rel, subset).mask
-            assert step(closures, "deduction", alg.top, mask) == \
-                right_image(rel, subset).mask
+            assert step(closures, "induction", alg.top, mask) == left_image(rel, subset)
+            assert step(closures, "deduction", alg.top, mask) == right_image(rel, subset)
 
     def test_step_seeds_are_the_pairs_with_top(self):
         # a mask and its base become seeds with member x at bit x * n + top:
@@ -497,6 +497,17 @@ class TestClosuresCache:
                     with pytest.raises(SizeMismatch,
                                        match=r"^set over a different carrier$"):
                         op(alg, 0, other)
+
+    @pytest.mark.parametrize("sig, tables", [((("f", 1),), ((),)), ((), ())],
+                             ids=["unary-op", "no-op"])
+    def test_size_zero_is_refused(self, sig, tables):
+        # as make_algebra, the parser and algebra_rank refuse it, and before
+        # the square check; no Closures is kept for the algebra
+        alg = FiniteAlgebra(Signature(sig), 0, tables)
+        for op in (semicongruence_generated, congruence_generated):
+            with pytest.raises(SizeMismatch, match=r"^carrier size must be at least 1$"):
+                op(alg, [])
+            assert own(alg) is None
 
     def test_single_shot_operators_equal_the_reference(self):
         # every mask through the algebra's Closures after random other masks
@@ -769,6 +780,24 @@ class TestIterate:
                     assert report.steps_to_fixpoint <= alg.size
                     for earlier, later in zip(report.chain, report.chain[1:]):
                         assert earlier.issubset(later)
+
+
+class TestStages:
+    # a step hands out the ElementSet that `_stages` keeps for its mask: the
+    # single-shot operators and every report's chain share it
+    @pytest.mark.parametrize("op, mode", [(top_induction, "induction"),
+                                          (top_deduction, "deduction")])
+    def test_every_step_returns_the_kept_stage(self, op, mode):
+        alg = dataclasses.replace(cyclic_ring(8).algebra)
+        top, moved = alg.top, 0
+        for subset in subsets_in_order(8, nonempty=False):
+            got = op(alg, top, subset)
+            moved += got != subset
+            assert got is own(alg)._stages[got.mask], subset
+            assert op(alg, top, subset) is got, subset
+            chain = iterate(alg, top, subset, mode).chain
+            assert chain[1] is (subset if got == subset else got), subset
+        assert moved
 
 
 class TestClosureReport:

@@ -360,6 +360,21 @@ def test_columns_equal_the_array_packing(alg):
         assert columns == _cut(array(fmt, [1 << v for v in table]).tobytes(), n, fmt)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 32, 33, 64])
+def test_cut_equals_an_integer_transpose(n):
+    # column c, from the lanes' integers: lane (r, c) is the int of its w
+    # bytes, shifted to bit 8 w r of the column
+    fmt = _lane(n)
+    w = array(fmt).itemsize
+    rng = random.Random(f"cut/{n}")
+    for rows in (1, n, 3 * n):
+        for lanes in ([rng.getrandbits(8 * w).to_bytes(w, byteorder) for _ in range(rows * n)],
+                      [b"\xff" * w] * (rows * n)):
+            expected = [sum(int.from_bytes(lanes[r * n + c], byteorder) << 8 * w * r
+                            for r in range(rows)) for c in range(n)]
+            assert _cut(b"".join(lanes), n, fmt) == expected, (n, rows)
+
+
 def test_one_table_entry_per_arity():
     # z8-module: add and sub binary, neg and the eight scalings unary, mal
     # ternary, zero a constant

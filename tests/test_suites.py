@@ -192,10 +192,28 @@ class TestSelection:
         # the suite's checks are replaced by a recorder of the entries they get
         taken = []
         _, takes, default_limit = suites._SUITES[name]
-        record = (lambda col, entry, alg, top: taken.append(entry.name), takes, default_limit)
+        record = (lambda col, alg, top: taken.append(col.algebra), takes, default_limit)
         monkeypatch.setitem(suites._SUITES, name, record)
         run_suite(name, limit=limit)
         assert taken == TAKEN[name][limit == 8].split()
+
+    def test_each_failure_names_its_own_entry(self, monkeypatch):
+        # a check that fails on every entry the suite takes: one failure
+        # line per entry, in catalog order, each naming that entry
+        _, takes, default_limit = suites._SUITES["semiring"]
+        fail = (lambda col, alg, top: col.check(False, "-", "fails", True, False),
+                takes, default_limit)
+        monkeypatch.setitem(suites._SUITES, "semiring", fail)
+        assert [f.line() for f in run_suite("semiring").failures] == [
+            f"fail algebra={entry} set=- check=fails expected=True actual=False"
+            for entry in TAKEN["semiring"][0].split()]
+
+    def test_nat_chain_failures_name_nat_mult(self, monkeypatch):
+        monkeypatch.setattr(suites, "nat_mult_deduction_chain",
+                            lambda primes, depth: [frozenset({1})] * (depth + 1))
+        lines = run_suite("nat-chain").lines()
+        assert lines[0].startswith("FAIL nat-chain 9 ") and len(lines) > 1
+        assert all(line.startswith("fail algebra=nat-mult ") for line in lines[1:])
 
     @pytest.mark.parametrize("limit, cases", [(4, 36), (8, 72)])
     def test_jonsson_tarski_checks_every_entry_it_takes(self, limit, cases):
