@@ -185,6 +185,12 @@ def _power(base: int, exponent: int) -> str:
     return f"{base}**{exponent}"
 
 
+def _table_length(size: int, arity: int, bound: int) -> int:
+    """size**arity, a table's length; `bound + 1`, the power not computed, when
+    an arity past `bound`'s bit length shows that size**arity exceeds `bound`."""
+    return bound + 1 if size > 1 and arity > bound.bit_length() else size**arity
+
+
 def make_algebra(
     sig: Signature | Iterable[tuple[str, int]],
     size: int,
@@ -203,8 +209,7 @@ def make_algebra(
         if name not in tables:
             raise ArityMismatch(f"no table for operation {name!r}")
         table = tuple(map(int, tables[name]))
-        # past the table's bit length, size**arity cannot match: not computed
-        if size > 1 and arity > len(table).bit_length() or len(table) != size**arity:
+        if _table_length(size, arity, len(table)) != len(table):
             raise ArityMismatch(
                 f"table for {name!r} has {len(table)} entries, expected {_power(size, arity)}"
             )

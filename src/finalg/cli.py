@@ -29,7 +29,7 @@ CHAIN_PRINT_CAP = 32
 
 def _load(path: str) -> FiniteAlgebra:
     """The file's algebra. Its bytes are decoded once, without text mode:
-    the parser splits lines at CRLF, CR and LF, as text mode would."""
+    the parser splits lines at CRLF, CR and LF only, as text mode does."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -136,7 +136,7 @@ def _close(closures: Closures, rows: list[int], base: Sequence[int],
     n = closures.size
     if (got := _reached(known, rows, rows)) is not None:
         return got
-    fmt = _lane(n)
+    fmt = closures._fmt
     everything = range(n)
     full = (1 << n) - 1
     row_bits = [list(_bits(b)) for b in base]
@@ -232,7 +232,7 @@ class Closures:
         if n * n > DEFAULT_CARRIER_LIMIT:
             raise SizeOverflow(f"squared carrier {n * n} exceeds limit {DEFAULT_CARRIER_LIMIT}")
         self.size = n
-        fmt = _lane(n)
+        self._fmt = fmt = _lane(n)  # the typecode of every lane of the kernel
         width = array(fmt).itemsize
         # the n lanes, lane v the mask 1 << v: a table packs by lookup
         lanes = [(1 << v).to_bytes(width, byteorder) for v in range(n)]

@@ -11,13 +11,13 @@
 
 Tables are row-major with the leftmost argument varying slowest. `const` is
 sugar for an arity-0 op. Canonical rendering emits one table row (last
-argument sweep) per line.
+argument sweep) per line. Lines end at LF, CR or CRLF, as in text mode.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, Signature
+from .algebra import FiniteAlgebra, Signature, _table_length
 from .errors import ParseError, ValueOutOfRange
 
 _KEYWORDS = {"algebra", "size", "op", "const", "top", "end"}
@@ -31,14 +31,17 @@ class AlgebraFile:
     algebra: FiniteAlgebra
 
 
+def _lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of every line whose first non-blank character is
+    not `#`; lines end at CRLF, CR and LF only, not at a form feed or U+2028."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if not line.lstrip().startswith("#")]
+
+
 def _words(text: str) -> list[str]:
-    """The tokens: whitespace-separated words of every non-comment line."""
-    return [
-        word
-        for line in text.splitlines()
-        if not line.lstrip().startswith("#")
-        for word in line.split()
-    ]
+    """The tokens: whitespace-separated words of every line of `_lines`."""
+    return [word for _, line in _lines(text) for word in line.split()]
 
 
 def overlong_digits(word: str) -> int:
@@ -59,9 +62,7 @@ def overlong_digits(word: str) -> int:
 def _positions(text: str) -> list[tuple[int, int]]:
     """(line, col) of every token of `_words`; only an error needs them."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         col = 0
         for piece in line.split():
             col = line.index(piece, col)
@@ -156,38 +157,31 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     tables: list[tuple[int, ...]] = []
     top: int | None = None
     while True:
-        word = p.peek()
-        if word is None:
+        if p.peek() is None:
             raise p._error("expected 'end' before end of input")
+        at = p.pos
+        word = p.take()
         if word == "end":
-            p.take()
             break
         if word == "op":
-            p.take()
             op_name = p.name("operation name")
             arity = p.integer("arity")
             if arity < 0:
                 raise p._last("arity must be non-negative")
             symbols.append((op_name, arity))
-            # past the tokens' bit length size**arity outruns them: the table
-            # fails at or before its last token, and the power is not computed
-            left = len(p.words) - p.pos
-            big = size > 1 and arity > left.bit_length()
-            tables.append(p.table(size, left + 1 if big else size**arity))
+            # a table longer than the tokens left fails at or before the last
+            tables.append(p.table(size, _table_length(size, arity, len(p.words) - p.pos)))
         elif word == "const":
-            p.take()
             const_name = p.name("constant name")
             symbols.append((const_name, 0))
             tables.append((p.element("constant value", "constant", size),))
         elif word == "top":
-            at = p.pos
-            p.take()
             value = p.element("top element", "top element", size)
             if top is not None:
                 raise p._error("top declared twice", at)
             top = value
         else:
-            raise p._error(f"expected 'op', 'const', 'top' or 'end', found {word!r}")
+            raise p._error(f"expected 'op', 'const', 'top' or 'end', found {word!r}", at)
     if p.peek() is not None:
         raise p._error(f"trailing content after 'end': {p.peek()!r}")
     # every table has size**arity entries, each in range, and the top is in
@@ -221,10 +215,8 @@ def render_algebra(name: str, algebra: FiniteAlgebra) -> str:
             lines.append(f"const {op_name} {table[0]}")
             continue
         lines.append(f"op {op_name} {arity}")
-        row_count = n ** (arity - 1)
-        for r in range(row_count):
-            row = table[r * n : (r + 1) * n]
-            lines.append(" ".join(str(v) for v in row))
+        for r in range(0, len(table), n):
+            lines.append(" ".join(str(v) for v in table[r : r + n]))
     if algebra.top is not None:
         lines.append(f"top {algebra.top}")
     lines.append("end")

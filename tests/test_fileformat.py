@@ -280,3 +280,76 @@ class TestRendering:
             render_algebra(title, alg)
         assert str(exc.value) == \
             f"cannot render {where} name {name!r}: a name must be one word and not a keyword"
+
+
+# the characters `str.splitlines` breaks at that text mode does not: each is
+# whitespace inside a line and never ends one
+INLINE_BREAKS = {"vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+                 "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
+class TestLineEnds:
+    """Lines end at CRLF, CR and LF alone, so a comment line stays whole."""
+
+    @pytest.mark.parametrize("ch", INLINE_BREAKS.values(), ids=list(INLINE_BREAKS))
+    @pytest.mark.parametrize("hidden", ["op g 1 1 0", "const k 1"], ids=["op", "const"])
+    def test_commented_out_symbol_is_skipped(self, ch, hidden):
+        plain = "algebra t\nsize 2\nop f 1\n0 1\n{}top 0\nend\n"
+        commented = plain.format(f"# off:{ch}{hidden}{ch}\n")
+        assert parse_algebra_file(commented) == parse_algebra_file(plain.format(""))
+
+    @pytest.mark.parametrize("ch", INLINE_BREAKS.values(), ids=list(INLINE_BREAKS))
+    @pytest.mark.parametrize("text, message", [
+        ("algebra a\nsize 2\n# x{}y\nop f 1\n0 5\nend\n",
+         "5:3: table entry 5 outside carrier of size 2"),
+        ("algebra a\r\nsize 2\rop f 1\n0{}5\nend\n",
+         "4:3: table entry 5 outside carrier of size 2"),
+    ], ids=["after-comment", "inside-row"])
+    def test_fault_reports_the_text_mode_position(self, ch, text, message):
+        with pytest.raises(ValueOutOfRange) as exc:
+            parse_algebra(text.format(ch))
+        assert str(exc.value) == message
+
+
+class TestKeywordRefusals:
+    """The exact message and `line:col` of each refusal the keyword loop makes."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("algebra a\nsize 2\nconst c 0\ntop 0\n  top 1\nend\n", "5:3: top declared twice"),
+        ("algebra a\nsize 2\nop f 1\n0 1",
+         "4:4: expected 'end' before end of input (at end of input)"),
+        ("algebra a\nsize 2\nop f 1\n0 1\n\n", "4:4: expected 'end' before end of input (at end of input)"),
+        ("algebra a\nsize 1\nconst c 0\nend extra\n",
+         "4:5: trailing content after 'end': 'extra'"),
+        ("algebra a\nsize 1\n oops 1\nend\n",
+         "3:2: expected 'op', 'const', 'top' or 'end', found 'oops'"),
+    ], ids=["top-twice", "no-end", "no-end-blank-lines", "trailing", "unknown-keyword"])
+    def test_refusal(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra(text)
+        assert str(exc.value) == message
+
+
+class TestTableLength:
+    """`make_algebra` and the parser share one table-length rule: given the
+    same table, both accept it or both refuse it, in time at any arity."""
+
+    @pytest.mark.parametrize("size, arity, entries", [
+        (size, arity, entries)
+        for size in (1, 2, 10) for arity in (0, 1, 3, 64, 20_000_000)
+        # none, one and, where size**arity is cheap, size**arity and one more
+        for entries in sorted({0, 1} | ({size**arity, size**arity + 1}
+                                        if size == 1 or arity <= 3 else set()))
+    ])
+    def test_builder_and_parser_agree(self, ten_seconds, size, arity, entries):
+        table = [0] * entries
+        text = f"algebra a\nsize {size}\nop f {arity}\n{' '.join(map(str, table))}\nend\n"
+        outcomes = []
+        for build in (lambda: make_algebra([("f", arity)], size, {"f": table}),
+                      lambda: parse_algebra(text)):
+            try:
+                outcomes.append(build().tables == (tuple(table),))
+            except EngineError:
+                outcomes.append(False)
+        expected = entries == 1 if size == 1 else arity <= 3 and entries == size**arity
+        assert outcomes == [expected, expected]
